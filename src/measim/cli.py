@@ -55,7 +55,10 @@ def build_config(args) -> JointConfig:
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
             raise CliError(f"missing file: {args.config}")
-        cfg = load_config(args.config)
+        try:
+            cfg = load_config(args.config)
+        except ValueError as e:
+            raise CliError(f"bad config {args.config}: {e}") from e
     elif getattr(args, "dataset", None):
         cfg = preset_config(args.dataset)
     else:

@@ -95,14 +95,15 @@ def rollout_batch(
     if not (1 <= horizon <= d):
         raise ValueError(f"horizon must lie in [1, {d}], got {horizon}")
 
-    values = np.zeros((b, d))
-    masks = np.zeros((b, d))
+    # one (B, 2D) [values, masks] encoding per step: the actor input, the
+    # step record's state and the critic input are all this array
+    state = np.zeros((b, 2 * d))
     out = Rollout(x_bar=x_bar)
     rows = np.arange(b)
+    fwd_mode = "eval" if mode == "greedy" else "train"
     for _ in range(horizon):
-        x = np.concatenate([values, masks], axis=1)
-        fwd_mode = "eval" if mode == "greedy" else "train"
-        scores, tape = nn.forward(policy.actor, x, mode=fwd_mode, rng=rng)
+        masks = state[:, d:]
+        scores, tape = nn.forward(policy.actor, state, mode=fwd_mode, rng=rng)
         probs = masked_softmax(scores, masks)
         if mode == "explore":
             sample_probs = flatten_explore(probs, masks, explore_e)
@@ -116,14 +117,14 @@ def rollout_batch(
             sample_probs = probs
             actions = np.argmax(np.where(masks == 0.0, scores, -np.inf), axis=1)
             e_used = 0.0
-        out.steps.append(StepBatch(values.copy(), masks.copy(), tape, probs,
-                                   sample_probs, actions, explore_e=e_used))
-        masks = masks.copy()
-        values = values.copy()
-        masks[rows, actions] = 1.0
-        values[rows, actions] = x_bar[rows, actions]
-    out.terminal_values = values
-    out.terminal_masks = masks
+        out.steps.append(StepBatch(state, tape, probs, sample_probs, actions,
+                                   explore_e=e_used))
+        # recorded states are never written again; the next step gets its own
+        state = state.copy()
+        state[rows, actions] = x_bar[rows, actions]
+        state[rows, d + actions] = 1.0
+    out.terminal_values = state[:, :d]
+    out.terminal_masks = state[:, d:]
     return out
 
 
@@ -174,12 +175,10 @@ def terminal_rewards_batch(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-episode reward for a batch: k imputation draws per episode."""
-    best = None
-    for _ in range(cfg.k):
-        cands = impute_batch(model, rollout.terminal_values, rollout.terminal_masks, rng)
-        errs = np.sqrt(np.mean((cands - rollout.x_bar) ** 2, axis=1))
-        best = errs if best is None else np.minimum(best, errs)
-    return -best
+    cands = impute_batch(model, rollout.terminal_values, rollout.terminal_masks, rng,
+                         k=cfg.k)
+    errs = np.sqrt(np.mean((cands - rollout.x_bar) ** 2, axis=2))
+    return -errs.min(axis=0)
 
 
 class UniformSelector:
@@ -202,8 +201,7 @@ class ExplicitSelector:
         self.k = k
 
     def __call__(self, values, masks, rng):
-        draws = np.stack([impute_batch(self.model, values, masks, rng)
-                          for _ in range(self.k)])
+        draws = impute_batch(self.model, values, masks, rng, k=self.k)
         var = draws.var(axis=0)
         # observed coordinates can never win the argmax
         var = np.where(masks == 0.0, var, -1.0)

@@ -130,12 +130,26 @@ def impute_multiple(model: ImputerModel, x_m: MissingState, k: int,
 
 
 def impute_batch(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One completion per row; noise drawn as a single (batch, Z) block."""
-    z = rng.standard_normal((values.shape[0], model.noise_dim))
-    x = np.concatenate([net_inputs(model, values, masks), z], axis=1)
-    y, _ = nn.forward(model.net, x, mode="eval")
-    return substitute_batch(values, masks, y)
+                 rng: np.random.Generator, k: int | None = None) -> np.ndarray:
+    """Completions of a (batch, d) state block, noise drawn as (batch, Z) blocks.
+
+    k=None gives one completion per row, shape (batch, d).  An integer k gives
+    k completions per row, shape (k, batch, d): the non-noise input is built
+    once and shared, and each draw's noise block follows the previous one's
+    on rng, so the result equals k successive k=None calls bit for bit.
+    """
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
+    enc = net_inputs(model, values, masks)
+    b, width = enc.shape
+    x = np.empty((b, width + model.noise_dim))
+    x[:, :width] = enc
+    draws = []
+    for _ in range(1 if k is None else k):
+        x[:, width:] = rng.standard_normal((b, model.noise_dim))
+        y, _ = nn.forward(model.net, x, mode="eval")
+        draws.append(substitute_batch(values, masks, y))
+    return draws[0] if k is None else np.stack(draws)
 
 
 _SMOOTHER_CACHE: dict[tuple[int, float], np.ndarray] = {}

@@ -120,6 +120,16 @@ class MissingDataset:
         self.masks = np.asarray(self.masks, dtype=np.float64)
         if self.values.shape != self.masks.shape or self.values.ndim != 2:
             raise ValueError("values and masks must be matching (n, d) arrays")
+        # anything else would flow silently into training as a corrupt state
+        for bad, what in (
+            ((self.masks != 0.0) & (self.masks != 1.0), "mask {m!r} is not 0 or 1"),
+            ((self.masks == 1.0) & ~np.isfinite(self.values), "observed value {v!r} is not finite"),
+            ((self.masks == 0.0) & (self.values != 0.0), "unobserved value {v!r} is not 0"),
+        ):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(f"row {i}, column {j}: " + what.format(
+                    m=float(self.masks[i, j]), v=float(self.values[i, j])))
         if self.ground_truth is not None:
             self.ground_truth = np.asarray(self.ground_truth, dtype=np.float64)
             if self.ground_truth.shape != self.values.shape:

@@ -394,6 +394,14 @@ def load_checkpoint(path) -> tuple[DenseNet, int]:
     tags = [struct.unpack("<B", take(1, "activation tags"))[0] for _ in range(n_layers)]
     rates = [struct.unpack("<d", take(8, "dropout rates"))[0] for _ in range(max(0, n_dims - 2))]
 
+    for i, tag in enumerate(tags):
+        if tag not in CODE_ACTS:
+            raise ValueError(f"layer {i} has unknown activation tag {tag}")
+        # DenseNet gives every hidden layer one activation
+        if i < n_layers - 1 and tag != tags[0]:
+            raise ValueError(f"layer {i} has activation tag {tag} ({CODE_ACTS[tag]}), "
+                             f"but hidden layers share layer 0's tag {tags[0]} "
+                             f"({CODE_ACTS[tags[0]]})")
     hidden_act = CODE_ACTS[tags[0]] if n_layers > 1 else "tanh"
     output_act = CODE_ACTS[tags[-1]]
     net = DenseNet(dims, hidden_activation=hidden_act, output_activation=output_act,

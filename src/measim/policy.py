@@ -167,16 +167,24 @@ def greedy_action(model: PolicyModel, x_m: MissingState) -> int:
 class StepBatch:
     """One lockstep slice of a batched rollout, everything needed for grads."""
 
-    values: np.ndarray          # (B, D) state values before the action
-    masks: np.ndarray           # (B, D) state masks before the action
+    state: np.ndarray           # (B, 2D) encoding [values, masks] before the action
     tape: nn.Tape               # actor forward tape for this step
     probs: np.ndarray           # (B, D) plain masked softmax
     sample_probs: np.ndarray    # (B, D) distribution that sampled the action
     actions: np.ndarray         # (B,) chosen coordinates
     explore_e: float = 0.0
+    # (critic net, tape) of the latest critic forward on state; see critic_forward
+    critic: tuple | None = None
 
-    def encoded(self) -> np.ndarray:
-        return np.concatenate([self.values, self.masks], axis=1)
+    @property
+    def values(self) -> np.ndarray:
+        """(B, D) state values before the action, a view of state."""
+        return self.state[:, :self.state.shape[1] // 2]
+
+    @property
+    def masks(self) -> np.ndarray:
+        """(B, D) state masks before the action, a view of state."""
+        return self.state[:, self.state.shape[1] // 2:]
 
 
 @dataclass
@@ -186,12 +194,24 @@ class ReinforceConfig:
     explore_e: float = 0.1
 
 
+def critic_forward(model: PolicyModel, step: StepBatch) -> nn.Tape:
+    """Eval-mode critic forward on one step's states; V is tape.output[:, 0].
+
+    advantages_for and critic_update both need V on the same states under the
+    same critic parameters, so the tape is kept on the step and reused while
+    it was taken with this critic at its current version (every parameter
+    update bumps the version).
+    """
+    memo = step.critic
+    if memo is not None and memo[0] is model.critic and memo[1].version == model.critic.version:
+        return memo[1]
+    _, tape = nn.forward(model.critic, step.state, mode="eval")
+    step.critic = (model.critic, tape)
+    return tape
+
+
 def critic_values(model: PolicyModel, steps: list[StepBatch]) -> list[np.ndarray]:
-    out = []
-    for s in steps:
-        v, _ = nn.forward(model.critic, s.encoded(), mode="eval")
-        out.append(v[:, 0])
-    return out
+    return [critic_forward(model, s).output[:, 0] for s in steps]
 
 
 def advantages_for(
@@ -243,8 +263,8 @@ def critic_update(model: PolicyModel, steps: list[StepBatch], rewards: np.ndarra
     grads = [np.zeros_like(p) for p in model.critic.params()]
     total = 0.0
     for s in steps:
-        v, tape = nn.forward(model.critic, s.encoded(), mode="eval")
-        diff = v[:, 0] - rewards
+        tape = critic_forward(model, s)
+        diff = tape.output[:, 0] - rewards
         total += float((diff ** 2).sum())
         g, _ = nn.backward(model.critic, tape, (2.0 * diff / n_total)[:, None])
         for acc, gi in zip(grads, g):

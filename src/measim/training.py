@@ -39,6 +39,7 @@ from .episodes import (
     write_episode_trace,
 )
 from .imputer import (
+    VARIANTS,
     ImputerLossConfig,
     ImputerModel,
     adapt_step,
@@ -130,6 +131,19 @@ class JointConfig:
             raise ValueError("iteration counts must be >= 0")
         if self.early_stop_window < 0:
             raise ValueError("early_stop_window must be >= 0")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
+        for name in ("imputer_hidden", "actor_hidden", "critic_hidden"):
+            if any(size <= 0 for size in getattr(self, name)):
+                raise ValueError(f"{name} sizes must be > 0, got {getattr(self, name)}")
+        if self.noise_dim < 1:
+            raise ValueError("noise_dim must be >= 1")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.pretrain_epochs < 0:
+            raise ValueError("pretrain_epochs must be >= 0")
+        if self.pretrain_batch < 1:
+            raise ValueError("pretrain_batch must be >= 1")
 
     def loss_config(self) -> ImputerLossConfig:
         return ImputerLossConfig(

@@ -173,6 +173,19 @@ def test_flag_overrides_config_file(tmp_path, data_dir):
     assert load_config(out / "config.txt").seed == 99
 
 
+@pytest.mark.parametrize("command", ["pretrain", "train-joint"])
+def test_bad_config_value_is_usage_error(tmp_path, data_dir, capsys, command):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text("dropout=1.5\n")
+    out = tmp_path / "out"
+    code = main([command, "--data", str(data_dir / "train.csv"),
+                 "--out", str(out), "--config", str(cfg_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "dropout" in err and str(cfg_path) in err
+    assert not out.exists()                 # rejected before any work ran
+
+
 def test_eval_without_checkpoint_names_file(tmp_path, data_dir, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()

@@ -110,6 +110,23 @@ def test_step_mask_cardinality_and_consistency():
 
 
 @pytest.mark.parametrize("mode", ["explore", "stochastic", "greedy"])
+def test_step_records_keep_their_own_state(mode):
+    # records share no memory with the state the rollout goes on to mutate
+    b, d, horizon = 6, 8, 5
+    policy = make_policy(d)
+    x_bar = np.random.default_rng(8).normal(size=(b, d))
+    roll = rollout_batch(policy, x_bar, horizon, mode, np.random.default_rng(9))
+    for t, s in enumerate(roll.steps):
+        assert np.array_equal(s.masks.sum(axis=1), np.full(b, float(t)))
+        assert np.array_equal(s.values, np.where(s.masks == 1.0, x_bar, 0.0))
+        assert np.shares_memory(s.values, s.state) and np.shares_memory(s.masks, s.state)
+        assert np.all(s.masks[np.arange(b), s.actions] == 0.0)
+    assert np.array_equal(roll.terminal_masks.sum(axis=1), np.full(b, float(horizon)))
+    assert np.array_equal(roll.terminal_values,
+                          np.where(roll.terminal_masks == 1.0, x_bar, 0.0))
+
+
+@pytest.mark.parametrize("mode", ["explore", "stochastic", "greedy"])
 def test_no_coordinate_measured_twice_any_mode(mode):
     d, t, b = 8, 6, 2000
     policy = make_policy(d, seed=8)

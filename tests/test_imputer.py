@@ -159,6 +159,23 @@ def test_impute_batch_preserves_observed():
     assert out.shape == (9, 7)
 
 
+@pytest.mark.parametrize("variant", ["sinusoid", "image"])
+def test_impute_batch_k_draws_equal_sequential_calls(variant):
+    rng = np.random.default_rng(12)
+    model = build_imputer(7, variant, noise_dim=3, hidden=(8,), rng=rng)
+    masks = (rng.random((9, 7)) < 0.4).astype(np.float64)
+    vals = rng.normal(size=(9, 7)) * masks
+    shared_rng, seq_rng = np.random.default_rng(13), np.random.default_rng(13)
+    draws = impute_batch(model, vals, masks, shared_rng, k=4)
+    seq = np.stack([impute_batch(model, vals, masks, seq_rng) for _ in range(4)])
+    assert draws.shape == (4, 9, 7)
+    assert np.array_equal(draws.view(np.uint64), seq.view(np.uint64))
+    # both generators consumed exactly the same noise
+    assert shared_rng.random() == seq_rng.random()
+    with pytest.raises(ValueError, match="k"):
+        impute_batch(model, vals, masks, shared_rng, k=0)
+
+
 # ------------------------------------------------------------ interpolation
 
 

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,27 @@ def test_missing_dataset_state_and_strip():
     stripped = ds.without_ground_truth()
     assert stripped.ground_truth is None
     assert np.array_equal(stripped.values, ds.values)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1.0,nan,2,0", "row 1, column 0: mask 2.0 is not 0 or 1"),
+    ("0.5,3.0,1,0", "row 1, column 1: unobserved value 3.0 is not 0"),
+    ("0.5,nan,1,0", "row 1, column 1: unobserved value nan is not 0"),
+    ("inf,0.0,1,0", "row 1, column 0: observed value inf is not finite"),
+    ("0.0,0.0,0,nan", "row 1, column 1: mask nan is not 0 or 1"),
+])
+def test_csv_rejects_corrupt_rows(tmp_path, row, message):
+    path = tmp_path / "corrupt.csv"
+    path.write_text("v0,v1,m0,m1\n-0.5,0.0,1,0\n" + row + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_missing_csv(path)
+
+
+def test_missing_dataset_accepts_negative_zero_fill():
+    # masking a negative value gives -0.0, which is still a zero fill
+    ds = mask_dataset(-np.ones((3, 4)), MaskDistributionSpec(n_observed=2),
+                      np.random.default_rng(4))
+    assert np.all(ds.values[ds.masks == 0.0] == 0.0)
 
 
 def test_csv_round_trip_with_ground_truth(tmp_path):

@@ -301,3 +301,26 @@ def test_checkpoint_rejects_garbage(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-4])
     with pytest.raises(ValueError, match="truncated"):
         nn.load_checkpoint(truncated)
+
+
+def _patched_tags(tmp_path, tags):
+    """A [3, 4, 4, 2] checkpoint whose three activation tag bytes are replaced."""
+    path = tmp_path / "tags.ckpt"
+    nn.save_checkpoint(nn.DenseNet([3, 4, 4, 2]), path)
+    raw = bytearray(path.read_bytes())
+    first = 4 + 4 + 1 + 4 + 4 * 4          # magic, version, role, dim count, dims
+    raw[first:first + 3] = bytes(tags)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def test_checkpoint_rejects_unknown_activation_tag(tmp_path):
+    with pytest.raises(ValueError, match="layer 2 has unknown activation tag 9"):
+        nn.load_checkpoint(_patched_tags(tmp_path, [1, 1, 9]))
+
+
+def test_checkpoint_rejects_mixed_hidden_tags(tmp_path):
+    with pytest.raises(ValueError, match=r"layer 1 has activation tag 2 \(relu\)"):
+        nn.load_checkpoint(_patched_tags(tmp_path, [1, 2, 0]))
+    net, _ = nn.load_checkpoint(_patched_tags(tmp_path, [2, 2, 3]))
+    assert (net.hidden_activation, net.output_activation) == ("relu", "sigmoid")

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from measim import nn
+from measim.episodes import rollout_batch
 from measim.masks import MissingState
 from measim.policy import (
     PolicyModel,
@@ -273,8 +276,54 @@ def test_critic_update_fits_constant_reward():
         if first is None:
             first = loss
     assert loss < first * 0.01
-    v, _ = nn.forward(model.critic, steps[0].encoded(), mode="eval")
+    v, _ = nn.forward(model.critic, steps[0].state, mode="eval")
     assert np.all(np.abs(v[:, 0] - (-0.7)) < 0.05)
+
+
+def test_shared_critic_forward_matches_separate_forwards(monkeypatch):
+    model = build_policy(5, actor_hidden=(8,), critic_hidden=(6,), dropout=0.1,
+                         rng=np.random.default_rng(30))
+    rng = np.random.default_rng(31)
+    steps = rollout_batch(model, rng.normal(size=(6, 5)), 3, "explore", rng).steps
+    rewards = rng.normal(size=6)
+    separate = model.copy()
+
+    critic_rows = []
+    forward = nn.forward
+
+    def counting_forward(net, x, *args, **kwargs):
+        if net.out_dim == 1:
+            critic_rows.append(x.shape[0])
+        return forward(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counting_forward)
+    raw = advantages_for(model, steps, rewards, normalize=False)
+    adv = advantages_for(model, steps, rewards, normalize=True)
+    loss = critic_update(model, steps, rewards)
+    assert sum(critic_rows) == 6 * len(steps)       # one forward per state
+
+    # reference: each call runs its own forward, on records without a kept tape
+    def fresh():
+        return [dataclasses.replace(s, critic=None) for s in steps]
+
+    adv_ref = advantages_for(separate, fresh(), rewards, normalize=True)
+    loss_ref = critic_update(separate, fresh(), rewards)
+    assert sum(critic_rows) == 3 * 6 * len(steps)
+
+    def same_bits(xs, ys):
+        return all(np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+                   for x, y in zip(xs, ys, strict=True))
+
+    assert same_bits(adv, adv_ref)
+    assert same_bits([loss], [loss_ref])
+    assert same_bits(model.critic.params(), separate.critic.params())
+    assert same_bits(model.critic_opt.m + model.critic_opt.v,
+                     separate.critic_opt.m + separate.critic_opt.v)
+
+    # the update bumped the critic's version, so the kept tapes are not reused
+    after = advantages_for(model, steps, rewards, normalize=False)
+    assert same_bits(after, advantages_for(separate, fresh(), rewards, normalize=False))
+    assert not np.array_equal(after[0], raw[0])
 
 
 # ----------------------------------------------------------------- REINFORCE
@@ -283,14 +332,13 @@ def test_critic_update_fits_constant_reward():
 def make_step_batch(model, n, e, rng, d=None):
     """Roll one lockstep step from the all-unobserved start state."""
     d = d or model.d
-    values = np.zeros((n, d))
-    masks = np.zeros((n, d))
-    x = np.concatenate([values, masks], axis=1)
+    x = np.zeros((n, 2 * d))
+    masks = x[:, d:]
     scores, tape = nn.forward(model.actor, x, mode="train", rng=rng)
     probs = masked_softmax(scores, masks)
     sample_probs = flatten_explore(probs, masks, e)
     actions = sample_actions(sample_probs, rng)
-    return StepBatch(values, masks, tape, probs, sample_probs, actions, explore_e=e)
+    return StepBatch(x, tape, probs, sample_probs, actions, explore_e=e)
 
 
 def surrogate_loss(model, steps, advantages):

@@ -105,6 +105,28 @@ def test_ablations_require_zero_meta_weight():
     tiny_config(ablation="no_meta", beta_prime=0.0)
 
 
+@pytest.mark.parametrize("override, name", [
+    (dict(dropout=1.5), "dropout"),
+    (dict(dropout=-0.1), "dropout"),
+    (dict(actor_hidden=(16, 0)), "actor_hidden"),
+    (dict(critic_hidden=(-2,)), "critic_hidden"),
+    (dict(imputer_hidden=(0,)), "imputer_hidden"),
+    (dict(noise_dim=0), "noise_dim"),
+    (dict(variant="audio"), "variant"),
+    (dict(pretrain_epochs=-1), "pretrain_epochs"),
+    (dict(pretrain_batch=0), "pretrain_batch"),
+])
+def test_config_rejects_bad_architecture_and_pretraining(override, name):
+    with pytest.raises(ValueError, match=name):
+        tiny_config(**override)
+
+
+def test_config_parse_validates_values():
+    with pytest.raises(ValueError, match="dropout"):
+        parse_config("dropout=1.5\n")
+    assert parse_config("pretrain_epochs=0\ndropout=0.0\n").pretrain_epochs == 0
+
+
 def test_full_ablation_allows_zero_meta_weight():
     cfg = tiny_config(beta_prime=0.0)
     assert cfg.ablation == "full"
