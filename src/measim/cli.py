@@ -167,7 +167,10 @@ def cmd_pretrain(args) -> int:
         f.write("epoch,loss\n")
         for epoch, loss in enumerate(curve):
             f.write(f"{epoch},{repr(float(loss))}\n")
-    print(f"pretrained {len(curve)} epochs, final loss {curve[-1]:.6f}")
+    if curve:
+        print(f"pretrained {len(curve)} epochs, final loss {curve[-1]:.6f}")
+    else:
+        print("pretrained 0 epochs (untrained checkpoint)")
     print(f"wrote {ckpt}")
     return 0
 

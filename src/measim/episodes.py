@@ -2,8 +2,8 @@
 
 An episode reveals one coordinate of a complete vector per step, starting
 from nothing, for a fixed horizon.  Batched rollouts advance every episode
-in lockstep so each step is a single network forward; per-step actor tapes
-are kept so policy gradients can flow through the realized dropout.
+in lockstep so each step is a single network forward; train-mode steps keep
+their actor tapes so policy gradients can flow through the realized dropout.
 """
 
 from __future__ import annotations
@@ -104,6 +104,8 @@ def rollout_batch(
     for _ in range(horizon):
         masks = state[:, d:]
         scores, tape = nn.forward(policy.actor, state, mode=fwd_mode, rng=rng)
+        if mode == "greedy":
+            tape = None         # no gradient is taken through greedy steps
         probs = masked_softmax(scores, masks)
         if mode == "explore":
             sample_probs = flatten_explore(probs, masks, explore_e)
@@ -227,8 +229,7 @@ def rollout_with_selector(
         actions = np.asarray(selector(values, masks, rng))
         if np.any(masks[rows, actions] == 1.0):
             raise RuntimeError("selector chose an already observed coordinate")
-        masks = masks.copy()
-        values = values.copy()
+        # selectors return fresh actions and keep no reference to the state
         masks[rows, actions] = 1.0
         values[rows, actions] = x_bar[rows, actions]
     out.terminal_values = values

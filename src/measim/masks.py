@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,42 +167,49 @@ def mask_dataset(
 
 def save_missing_csv(dataset: MissingDataset, path, include_ground_truth: bool = True) -> None:
     """One row per example: D value columns, D mask columns, optionally D
-    ground-truth columns (their presence in the header is the flag)."""
+    ground-truth columns (their presence in the header is the flag).
+
+    Floats are written with repr, so a load gives back the same bits; lines
+    end in CRLF, as csv.writer writes them.
+    """
     d = dataset.dim
     with_gt = include_ground_truth and dataset.ground_truth is not None
     header = [f"v{i}" for i in range(d)] + [f"m{i}" for i in range(d)]
     if with_gt:
         header += [f"gt{i}" for i in range(d)]
+    masks = dataset.masks.astype(np.int64)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
+        f.write(",".join(header) + "\r\n")
         for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.values[i]]
-            row += [str(int(m)) for m in dataset.masks[i]]
+            row = ",".join(map(repr, dataset.values[i].tolist()))
+            row += "," + ",".join(map(str, masks[i].tolist()))
             if with_gt:
-                row += [repr(float(v)) for v in dataset.ground_truth[i]]
-            writer.writerow(row)
+                row += "," + ",".join(map(repr, dataset.ground_truth[i].tolist()))
+            f.write(row + "\r\n")
 
 
 def load_missing_csv(path) -> MissingDataset:
+    """Inverse of save_missing_csv.  Ragged or non-numeric rows raise
+    ValueError; a header-only file is an empty (0, D) dataset."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        rows = [row for row in reader]
+        header = next(csv.reader(f), None)
+        if header is None:
+            raise ValueError("empty file: no header row")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # comments=None: a '#' row is a non-numeric field, not a comment
+            table = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
     n_v = sum(1 for h in header if h.startswith("v"))
     n_m = sum(1 for h in header if h.startswith("m"))
     n_gt = sum(1 for h in header if h.startswith("gt"))
     if n_v == 0 or n_v != n_m:
         raise ValueError(f"malformed header: {n_v} value and {n_m} mask columns")
+    if n_gt and n_gt != n_v:
+        raise ValueError(f"{n_gt} ground-truth columns for dimension {n_v}")
+    if table.shape[0] == 0:
+        table = table.reshape(0, len(header))
+    elif table.shape[1] != len(header):
+        raise ValueError(f"rows have {table.shape[1]} columns, header has {len(header)}")
     d = n_v
-    values = np.array([[float(x) for x in row[:d]] for row in rows])
-    masks = np.array([[float(x) for x in row[d:2 * d]] for row in rows])
-    gt = None
-    if n_gt:
-        if n_gt != d:
-            raise ValueError(f"{n_gt} ground-truth columns for dimension {d}")
-        gt = np.array([[float(x) for x in row[2 * d:3 * d]] for row in rows])
-    if values.size == 0:
-        values = values.reshape(0, d)
-        masks = masks.reshape(0, d)
-    return MissingDataset(values, masks, gt)
+    gt = table[:, 2 * d:3 * d] if n_gt else None
+    return MissingDataset(table[:, :d], table[:, d:2 * d], gt)

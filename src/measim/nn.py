@@ -53,14 +53,15 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # a is the cached post-activation value for z
+def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
+    # derivative from the post-activation a alone; for relu, a > 0 exactly
+    # where z > 0, since a = max(z, 0)
     if name == "identity":
-        return np.ones_like(z)
+        return np.ones_like(a)
     if name == "tanh":
         return 1.0 - a * a
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if name == "sigmoid":
         return a * (1.0 - a)
     raise ValueError(f"unknown activation {name!r}")
@@ -164,16 +165,19 @@ class DenseNet:
 
 
 class Tape:
-    """Activations and dropout masks recorded by one forward pass."""
+    """Activations and dropout masks recorded by one forward pass.
 
-    __slots__ = ("version", "mode", "single", "inputs", "zs", "acts", "drop_masks", "output")
+    Pre-activations are not kept: every activation's derivative is a
+    function of its output.
+    """
 
-    def __init__(self, version, mode, single, inputs, zs, acts, drop_masks, output):
+    __slots__ = ("version", "mode", "single", "inputs", "acts", "drop_masks", "output")
+
+    def __init__(self, version, mode, single, inputs, acts, drop_masks, output):
         self.version = version
         self.mode = mode
         self.single = single
         self.inputs = inputs          # per-layer input, inputs[0] is the net input
-        self.zs = zs                  # per-layer pre-activation
         self.acts = acts              # per-layer post-activation (pre-dropout)
         self.drop_masks = drop_masks  # per-layer bool keep-mask or None
         self.output = output
@@ -201,12 +205,11 @@ def forward(
     if mode == "train" and rng is None and any(r > 0 for r in net.dropout_rates):
         raise ValueError("train-mode forward with dropout needs an rng")
 
-    inputs, zs, acts, drop_masks = [], [], [], []
+    inputs, acts, drop_masks = [], [], []
     for i in range(net.n_layers):
         inputs.append(a)
         z = a @ net.weights[i].T + net.biases[i]
         h = _activate(net._activation_for(i), z)
-        zs.append(z)
         acts.append(h)
         keep = None
         if i < net.n_layers - 1:
@@ -218,7 +221,7 @@ def forward(
         a = h
 
     out = a[0] if single else a
-    tape = Tape(net.version, mode, single, inputs, zs, acts, drop_masks, a)
+    tape = Tape(net.version, mode, single, inputs, acts, drop_masks, a)
     return out, tape
 
 
@@ -244,8 +247,7 @@ def backward(
         raise ValueError(f"upstream gradient shape {up.shape} != output shape {tape.output.shape}")
 
     grads: list[np.ndarray] = [None] * (2 * net.n_layers)
-    delta = up * _activation_grad(net._activation_for(net.n_layers - 1),
-                                  tape.zs[-1], tape.acts[-1])
+    delta = up * _activation_grad(net._activation_for(net.n_layers - 1), tape.acts[-1])
     for i in range(net.n_layers - 1, -1, -1):
         grads[2 * i] = delta.T @ tape.inputs[i]
         grads[2 * i + 1] = delta.sum(axis=0)
@@ -254,8 +256,7 @@ def backward(
             keep = tape.drop_masks[i - 1]
             if keep is not None:
                 dprev = dprev * keep / (1.0 - net.dropout_rates[i - 1])
-            delta = dprev * _activation_grad(net._activation_for(i - 1),
-                                             tape.zs[i - 1], tape.acts[i - 1])
+            delta = dprev * _activation_grad(net._activation_for(i - 1), tape.acts[i - 1])
     dinput = dprev[0] if tape.single else dprev
     return grads, dinput
 

@@ -168,7 +168,7 @@ class StepBatch:
     """One lockstep slice of a batched rollout, everything needed for grads."""
 
     state: np.ndarray           # (B, 2D) encoding [values, masks] before the action
-    tape: nn.Tape               # actor forward tape for this step
+    tape: nn.Tape | None        # actor forward tape; None for greedy steps
     probs: np.ndarray           # (B, D) plain masked softmax
     sample_probs: np.ndarray    # (B, D) distribution that sampled the action
     actions: np.ndarray         # (B,) chosen coordinates
@@ -241,7 +241,9 @@ def actor_gradient(
         raise ValueError(f"{len(steps)} step batches but {len(advantages)} advantage rows")
     n_total = sum(s.actions.shape[0] for s in steps)
     grads = [np.zeros_like(p) for p in model.actor.params()]
-    for s, a in zip(steps, advantages):
+    for t, (s, a) in enumerate(zip(steps, advantages)):
+        if s.tape is None:
+            raise ValueError(f"step {t} has no actor tape; greedy steps take no gradient")
         b = s.actions.shape[0]
         if a.shape != (b,):
             raise ValueError(f"advantage shape {a.shape} != batch {b}")

@@ -439,6 +439,11 @@ def joint_train(
         critic_loss = critic_update(policy, roll1.steps, r1)
         _require_finite(critic_loss, "loss", i)
         _apply_actor_terms(policy, terms)
+        # E1/E2 steps, their tapes and critic memos are spent: release them
+        # before E3 records its own
+        if trace_episodes:
+            last_roll, last_rewards = roll1, r1
+        roll1 = roll2 = None
 
         unsup = sup = float("nan")
         if adapt:
@@ -453,6 +458,7 @@ def joint_train(
                                          rngs.substream(seed, rngs.ADAPT_REAL, i, 1))
             unsup, sup = losses["unsupervised"], losses["supervised"]
             _require_finite([unsup, sup], "loss", i)
+            roll3 = None
 
         record.stats.append(IterationStats(
             iteration=i,
@@ -462,7 +468,6 @@ def joint_train(
             imputer_unsup=unsup,
             imputer_sup=sup,
         ))
-        last_roll, last_rewards = roll1, r1
 
         if plateaued(record.rewards, cfg.early_stop_window, cfg.early_stop_tol):
             record.stopped_early = True

@@ -132,6 +132,20 @@ def test_pretrain_writes_artifacts(tmp_path, data_dir):
     assert len(lines) == 2 + 2  # two epochs
 
 
+def test_pretrain_zero_epochs_writes_untrained_checkpoint(tmp_path, data_dir, capsys):
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(pretrain_epochs=0), cfg_path)
+    out = tmp_path / "pre"
+    code = main(["pretrain", "--data", str(data_dir / "train.csv"),
+                 "--out", str(out), "--config", str(cfg_path)])
+    assert code == 0
+    assert (out / "imputer.ckpt").exists()
+    lines = (out / "pretrain.csv").read_text().splitlines()
+    assert lines == ["# measim-pretrain v1", "epoch,loss"]
+    printed = capsys.readouterr().out
+    assert "pretrained 0 epochs" in printed and "final loss" not in printed
+
+
 def test_train_joint_run_directory(run_dir):
     for name in ("config.txt", "run.csv", "actor.ckpt", "critic.ckpt", "imputer.ckpt"):
         assert (run_dir / name).exists(), name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from measim.episodes import (
 )
 from measim.imputer import build_imputer
 from measim.masks import MissingState
-from measim.policy import build_policy
+from measim.policy import actor_gradient, build_policy
 
 
 def make_policy(d, seed=0, dropout=0.1):
@@ -149,6 +151,39 @@ def test_one_step_uniform_policy_frequencies():
     roll = rollout_batch(policy, x_bar, 1, "stochastic", np.random.default_rng(11))
     freq = np.bincount(roll.steps[0].actions, minlength=d) / 100_000
     assert np.all(np.abs(freq - 0.25) < 0.01)
+
+
+def test_only_train_mode_steps_keep_tapes():
+    b, d = 4, 6
+    policy = make_policy(d)
+    x_bar = np.random.default_rng(16).normal(size=(b, d))
+    adv = [np.ones(b)] * 3
+    for mode in ("explore", "stochastic"):
+        roll = rollout_batch(policy, x_bar, 3, mode, np.random.default_rng(17))
+        assert all(s.tape is not None for s in roll.steps)
+        actor_gradient(policy, roll.steps, adv)
+    roll = rollout_batch(policy, x_bar, 3, "greedy", np.random.default_rng(17))
+    assert all(s.tape is None for s in roll.steps)
+    with pytest.raises(ValueError, match="step 0 has no actor tape"):
+        actor_gradient(policy, roll.steps, adv)
+
+
+def test_greedy_rollout_holds_states_probs_and_actions_only():
+    # 20 step states + the terminal one + 20 (B, D) probs = 31 states; a kept
+    # actor tape would add about 3 states per step (92 in all)
+    b, d, horizon = 720, 100, 20
+    policy = build_policy(d, rng=np.random.default_rng(18))
+    x_bar = np.random.default_rng(19).normal(size=(b, d))
+    one_state = b * 2 * d * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        roll = rollout_batch(policy, x_bar, horizon, "greedy", np.random.default_rng(20))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert roll.horizon == horizon
+    assert held <= 32 * one_state, held / one_state
 
 
 def test_greedy_rollout_deterministic():

@@ -274,6 +274,74 @@ def test_csv_empty_dataset_round_trip(tmp_path):
     assert back.dim == 3
 
 
+@pytest.mark.parametrize("row", [
+    "0.5,0.0,1",                # ragged: one column short
+    "0.5,0.0,1,0,7",            # ragged: one column over
+    "0.5,abc,1,0",              # non-numeric field
+    "0.5,,1,0",                 # empty field
+    "#0.5,0.0,1,0",             # a '#' row is not a comment
+])
+def test_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "malformed.csv"
+    path.write_text("v0,v1,m0,m1\n-0.5,0.0,1,0\n" + row + "\n")
+    with pytest.raises(ValueError):
+        load_missing_csv(path)
+
+
+def test_csv_rejects_rows_wider_than_header(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("v0,v1,m0,m1\n-0.5,0.0,1,0,3\n")
+    with pytest.raises(ValueError, match="rows have 5 columns, header has 4"):
+        load_missing_csv(path)
+
+
+def test_csv_rejects_file_without_header(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="no header"):
+        load_missing_csv(path)
+
+
+def reference_csv_bytes(dataset, path, include_ground_truth):
+    """The format as csv.writer writes it, one repr per float."""
+    d = dataset.dim
+    with_gt = include_ground_truth and dataset.ground_truth is not None
+    header = [f"v{i}" for i in range(d)] + [f"m{i}" for i in range(d)]
+    if with_gt:
+        header += [f"gt{i}" for i in range(d)]
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for i in range(len(dataset)):
+            row = [repr(float(v)) for v in dataset.values[i]]
+            row += [str(int(m)) for m in dataset.masks[i]]
+            if with_gt:
+                row += [repr(float(v)) for v in dataset.ground_truth[i]]
+            writer.writerow(row)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("include_ground_truth", [True, False])
+def test_csv_bytes_match_csv_writer(tmp_path, include_ground_truth):
+    rng = np.random.default_rng(13)
+    truth = rng.normal(size=(5, 6))
+    truth[0, :4] = [-0.0, 1e-300, 1e300, -1e300]
+    truth[1, :3] = [5e-324, 0.1, -2.5]
+    ds = mask_dataset(truth, MaskDistributionSpec(n_observed=3), rng)
+    ds.masks[0] = [1, 1, 1, 1, 0, 0]
+    ds.values[0] = np.where(ds.masks[0] == 1.0, truth[0], 0.0)
+    ds = MissingDataset(ds.values, ds.masks, truth)
+    path = tmp_path / "fast.csv"
+    save_missing_csv(ds, path, include_ground_truth=include_ground_truth)
+    expected = reference_csv_bytes(ds, tmp_path / "reference.csv", include_ground_truth)
+    assert path.read_bytes() == expected
+    back = load_missing_csv(path)
+    assert np.array_equal(back.values.view(np.int64), ds.values.view(np.int64))
+    assert np.array_equal(back.masks, ds.masks)
+    if include_ground_truth:
+        assert np.array_equal(back.ground_truth.view(np.int64), truth.view(np.int64))
+
+
 def test_substitute_batch_matches_rowwise():
     rng = np.random.default_rng(5)
     values = rng.normal(size=(7, 6))

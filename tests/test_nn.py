@@ -324,3 +324,46 @@ def test_checkpoint_rejects_mixed_hidden_tags(tmp_path):
         nn.load_checkpoint(_patched_tags(tmp_path, [1, 2, 0]))
     net, _ = nn.load_checkpoint(_patched_tags(tmp_path, [2, 2, 3]))
     assert (net.hidden_activation, net.output_activation) == ("relu", "sigmoid")
+
+
+def reference_backward(net, tape, upstream):
+    """Backward as written with pre-activations: relu passes where z > 0."""
+    grad_of = {
+        "identity": lambda z, a: np.ones_like(z),
+        "tanh": lambda z, a: 1.0 - a * a,
+        "relu": lambda z, a: (z > 0.0).astype(np.float64),
+        "sigmoid": lambda z, a: a * (1.0 - a),
+    }
+    zs = [x @ w.T + b for x, w, b in zip(tape.inputs, net.weights, net.biases)]
+    acts = [net._activation_for(i) for i in range(net.n_layers)]
+    grads = [None] * (2 * net.n_layers)
+    delta = upstream * grad_of[acts[-1]](zs[-1], tape.acts[-1])
+    for i in range(net.n_layers - 1, -1, -1):
+        grads[2 * i] = delta.T @ tape.inputs[i]
+        grads[2 * i + 1] = delta.sum(axis=0)
+        dprev = delta @ net.weights[i]
+        if i > 0:
+            keep = tape.drop_masks[i - 1]
+            if keep is not None:
+                dprev = dprev * keep / (1.0 - net.dropout_rates[i - 1])
+            delta = dprev * grad_of[acts[i - 1]](zs[i - 1], tape.acts[i - 1])
+    return grads, dprev
+
+
+@pytest.mark.parametrize("hidden, output", [("relu", "identity"), ("relu", "sigmoid"),
+                                            ("tanh", "identity"), ("tanh", "sigmoid")])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_backward_from_post_activations_is_bit_identical(hidden, output, mode):
+    # the tape keeps no pre-activations; gradients must not change by a bit
+    rng = np.random.default_rng(61)
+    net = nn.DenseNet([6, 9, 7, 4], hidden_activation=hidden, output_activation=output,
+                      dropout_rates=0.3, rng=rng)
+    x = rng.normal(size=(12, 6))
+    x[0] = 0.0                      # relu units at exactly z == bias == 0
+    out, tape = nn.forward(net, x, mode=mode, rng=np.random.default_rng(62))
+    up = rng.normal(size=out.shape)
+    grads, dx = nn.backward(net, tape, up)
+    ref_grads, ref_dx = reference_backward(net, tape, up)
+    for g, r in zip(grads, ref_grads):
+        assert np.array_equal(g, r)
+    assert np.array_equal(dx, ref_dx)

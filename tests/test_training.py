@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from measim import rngs, training
+from measim.episodes import rollout_batch
 from measim.imputer import build_imputer, load_imputer, pretrain
 from measim.masks import MissingDataset, mask_dataset, mcar_spec
 from measim.nn import OptimizerState
@@ -382,6 +384,26 @@ def test_early_stop_on_flat_rewards(monkeypatch):
     _, _, record = joint_train(cfg, ds, imputer=pre)
     assert record.stopped_early
     assert len(record.stats) == 2 * cfg.early_stop_window
+
+
+def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
+    # E1 and E2 live until the actor step, E3 until the imputer update, and
+    # no rollout outlives its iteration
+    alive = []
+    held = []
+
+    def tracked(*args, **kwargs):
+        held.append(sum(r() is not None for r in alive))
+        roll = rollout_batch(*args, **kwargs)
+        alive.append(weakref.ref(roll))
+        return roll
+
+    monkeypatch.setattr(training, "rollout_batch", tracked)
+    ds = tiny_dataset()
+    cfg = tiny_config(iterations=3)
+    joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert held == [0, 1, 0] * 3
+    assert not any(r() is not None for r in alive)
 
 
 # ---------------------------------------------------------------------------
