@@ -23,22 +23,11 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from measim import rngs
-from measim.data import mnist12_dataset
+from measim.data import MNIST_STEMS, find_mnist_file, mnist12_dataset
 from measim.episodes import ExplicitSelector, UniformSelector
 from measim.evaluate import EvalReport, eval_policy, sweep_missing_rates, write_sweep_csv
 from measim.masks import mask_dataset, mcar_spec
 from measim.training import JointConfig, pretrain_imputer, run_training
-
-IDX_STEMS = ("train-images-idx3-ubyte", "t10k-images-idx3-ubyte")
-
-
-def find_idx(directory: str, stem: str) -> str:
-    for name in (stem, stem.replace("-idx", ".idx")):
-        path = os.path.join(directory, name)
-        if os.path.exists(path):
-            return path
-    raise FileNotFoundError(f"missing file: {os.path.join(directory, stem)}")
-
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -75,8 +64,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     try:
-        train_path = find_idx(args.mnist_dir, IDX_STEMS[0])
-        test_path = find_idx(args.mnist_dir, IDX_STEMS[1])
+        train_path, test_path = [find_mnist_file(args.mnist_dir, s) for s in MNIST_STEMS]
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

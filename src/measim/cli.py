@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import nn, rngs
-from .data import gen_sinusoid_dataset, mnist12_dataset
+from .data import MNIST_STEMS, find_mnist_file, gen_sinusoid_dataset, mnist12_dataset
 from .episodes import ExplicitSelector, UniformSelector
 from .evaluate import EvalReport, eval_policy, sweep_missing_rates, write_sweep_csv
 from .imputer import load_imputer, save_imputer
@@ -112,14 +112,6 @@ def _print_report(report: EvalReport) -> None:
 # subcommands
 
 
-def _find_mnist_file(directory: str, stem: str) -> str:
-    for name in (stem, stem.replace("-idx", ".idx")):
-        path = os.path.join(directory, name)
-        if os.path.exists(path):
-            return path
-    raise CliError(f"missing file: {os.path.join(directory, stem)}")
-
-
 def cmd_gen_data(args) -> int:
     if args.dataset.startswith("sin-"):
         n_train = args.n_train if args.n_train is not None else 2880
@@ -131,17 +123,18 @@ def cmd_gen_data(args) -> int:
         mnist_dir = args.mnist_dir or os.environ.get("MEASIM_MNIST_DIR")
         if not mnist_dir:
             raise CliError("mnist12 needs --mnist-dir or MEASIM_MNIST_DIR")
+        try:
+            train_idx, test_idx = [find_mnist_file(mnist_dir, s) for s in MNIST_STEMS]
+        except FileNotFoundError as e:
+            raise CliError(str(e)) from None
         n_train = args.n_train if args.n_train is not None else 10_000
         n_test = args.n_test if args.n_test is not None else 2_000
-        train = mnist12_dataset(_find_mnist_file(mnist_dir, "train-images-idx3-ubyte"),
-                                n_limit=n_train)
-        test = mnist12_dataset(_find_mnist_file(mnist_dir, "t10k-images-idx3-ubyte"),
-                               n_limit=n_test)
+        train = mnist12_dataset(train_idx, n_limit=n_train)
+        test = mnist12_dataset(test_idx, n_limit=n_test)
 
-    d = train.shape[1]
-    spec = mcar_spec(d, args.missing_rate)
-    train_ds = mask_dataset(train, spec, rngs.substream(args.seed, rngs.DATA_MASK, 0))
-    test_ds = mask_dataset(test, spec, rngs.substream(args.seed, rngs.DATA_MASK, 1))
+    n_observed = mcar_spec(train.shape[1], args.missing_rate)
+    train_ds = mask_dataset(train, n_observed, rngs.substream(args.seed, rngs.DATA_MASK, 0))
+    test_ds = mask_dataset(test, n_observed, rngs.substream(args.seed, rngs.DATA_MASK, 1))
 
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.csv")

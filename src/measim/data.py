@@ -8,6 +8,7 @@ exact mean of four input pixels.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ FREQUENCY_RANGE = (0.5, 2.0)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+# raw MNIST image files: the (train, test) file names, see find_mnist_file
+MNIST_STEMS = ("train-images-idx3-ubyte", "t10k-images-idx3-ubyte")
 
 
 class IdxFormatError(ValueError):
@@ -128,6 +132,16 @@ def load_mnist_idx(images_path, labels_path=None):
         raise IdxFormatError(f"{count} images but {count_l} labels")
     labels = np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
     return images, labels
+
+
+def find_mnist_file(directory, stem: str) -> str:
+    """Path of an MNIST IDX file in directory: the stem itself, or its dotted
+    spelling (train-images.idx3-ubyte) that some mirrors use."""
+    for name in (stem, stem.replace("-idx", ".idx")):
+        path = os.path.join(directory, name)
+        if os.path.exists(path):
+            return path
+    raise FileNotFoundError(f"missing file: {os.path.join(directory, stem)}")
 
 
 def write_idx_images(path, images: np.ndarray, rows: int = 28, cols: int = 28) -> None:

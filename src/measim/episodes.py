@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .imputer import ImputerModel, impute_batch, impute_multiple, impute_sample
-from .masks import MissingState, round_half_up
+from .imputer import ImputerModel, impute_batch
+from .masks import round_half_up
 from .policy import (
     PolicyModel,
     StepBatch,
@@ -43,15 +43,6 @@ class RewardConfig:
 
 
 @dataclass
-class Episode:
-    """Single-episode record: (state, action, log_prob) per step."""
-
-    steps: list
-    terminal_state: MissingState
-    source: np.ndarray
-
-
-@dataclass
 class Rollout:
     """Batch of lockstep episodes sharing step indices."""
 
@@ -69,12 +60,6 @@ class Rollout:
         return len(self.steps)
 
 
-def generate_complete(model: ImputerModel, x_m: MissingState,
-                      rng: np.random.Generator) -> np.ndarray:
-    """One pseudo-complete sample to serve as an episode's environment."""
-    return impute_sample(model, x_m, rng)
-
-
 def rollout_batch(
     policy: PolicyModel,
     x_bar: np.ndarray,
@@ -86,7 +71,9 @@ def rollout_batch(
     """Roll one episode per row of x_bar, all advancing together.
 
     explore: flattened distribution, dropout active.  stochastic: plain
-    masked softmax, dropout active.  greedy: dropout-free argmax.
+    masked softmax, dropout active.  greedy: dropout-free masked argmax of
+    the scores (ties go to the lowest index); greedy steps keep only their
+    state and actions, as no gradient is taken through them.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"mode must be one of {ROLLOUT_MODES}, got {mode!r}")
@@ -105,20 +92,18 @@ def rollout_batch(
         masks = state[:, d:]
         scores, tape = nn.forward(policy.actor, state, mode=fwd_mode, rng=rng)
         if mode == "greedy":
-            tape = None         # no gradient is taken through greedy steps
-        probs = masked_softmax(scores, masks)
-        if mode == "explore":
-            sample_probs = flatten_explore(probs, masks, explore_e)
-            actions = sample_actions(sample_probs, rng)
-            e_used = explore_e
-        elif mode == "stochastic":
-            sample_probs = probs
-            actions = sample_actions(sample_probs, rng)
-            e_used = 0.0
-        else:
-            sample_probs = probs
+            tape = probs = sample_probs = None
             actions = np.argmax(np.where(masks == 0.0, scores, -np.inf), axis=1)
             e_used = 0.0
+        else:
+            probs = masked_softmax(scores, masks)
+            if mode == "explore":
+                sample_probs = flatten_explore(probs, masks, explore_e)
+                e_used = explore_e
+            else:
+                sample_probs = probs
+                e_used = 0.0
+            actions = sample_actions(sample_probs, rng)
         out.steps.append(StepBatch(state, tape, probs, sample_probs, actions,
                                    explore_e=e_used))
         # recorded states are never written again; the next step gets its own
@@ -130,44 +115,14 @@ def rollout_batch(
     return out
 
 
-def run_episode(
-    policy: PolicyModel,
-    x_bar: np.ndarray,
-    horizon: int,
-    mode: str,
-    rng: np.random.Generator,
-    explore_e: float = 0.1,
-) -> Episode:
-    """Single-episode wrapper over the batch engine."""
-    roll = rollout_batch(policy, x_bar[None, :], horizon, mode, rng, explore_e)
-    steps = []
-    for s in roll.steps:
-        a = int(s.actions[0])
-        steps.append((
-            MissingState(s.values[0].copy(), s.masks[0].copy()),
-            a,
-            float(np.log(s.sample_probs[0, a])),
-        ))
-    terminal = MissingState(roll.terminal_values[0], roll.terminal_masks[0])
-    return Episode(steps=steps, terminal_state=terminal, source=np.asarray(x_bar))
+def topk_rmse(candidates: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
+    """Min over the leading draw axis of the RMSE over the last axis.
 
-
-def topk_rmse(candidates: np.ndarray, x_bar: np.ndarray) -> float:
-    """Min over candidates of the root mean squared error over all coordinates."""
-    candidates = np.atleast_2d(candidates)
-    errs = np.sqrt(np.mean((candidates - x_bar) ** 2, axis=1))
-    return float(errs.min())
-
-
-def terminal_reward(
-    model: ImputerModel,
-    episode: Episode,
-    cfg: RewardConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Negative top-k RMSE of imputations of the terminal state against x̄."""
-    cands = impute_multiple(model, episode.terminal_state, cfg.k, rng)
-    return -topk_rmse(cands, episode.source)
+    candidates (k, ..., D) against x_bar (..., D) gives one error per row of
+    x_bar: (k, D) against (D,) a scalar, (k, B, D) against (B, D) a (B,) array.
+    """
+    errs = np.sqrt(np.mean((candidates - x_bar) ** 2, axis=-1))
+    return errs.min(axis=0)
 
 
 def terminal_rewards_batch(
@@ -179,8 +134,7 @@ def terminal_rewards_batch(
     """Per-episode reward for a batch: k imputation draws per episode."""
     cands = impute_batch(model, rollout.terminal_values, rollout.terminal_masks, rng,
                          k=cfg.k)
-    errs = np.sqrt(np.mean((cands - rollout.x_bar) ** 2, axis=2))
-    return -errs.min(axis=0)
+    return -topk_rmse(cands, rollout.x_bar)
 
 
 class UniformSelector:

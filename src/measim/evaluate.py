@@ -22,6 +22,7 @@ from .episodes import (
     horizon_for,
     rollout_batch,
     rollout_with_selector,
+    topk_rmse,
 )
 from .imputer import ImputerModel, impute_batch
 from .masks import MissingDataset
@@ -126,13 +127,12 @@ def eval_policy(
 
         cands = impute_batch(imputer, roll.terminal_values, roll.terminal_masks,
                              rng_imp, k=k)
-        errs = np.sqrt(np.mean((cands - truth) ** 2, axis=2))
 
         report.rows.append(EvalRow(
             method=method,
             eval_rate=missing_rate,
-            top1_rmse=float(np.mean(errs[0])),
-            top3_rmse=float(np.mean(errs.min(axis=0))),
+            top1_rmse=float(np.mean(topk_rmse(cands[:1], truth))),
+            top3_rmse=float(np.mean(topk_rmse(cands, truth))),
             n_examples=n,
             seed=s,
             wall_time=time.perf_counter() - start,

@@ -1,7 +1,7 @@
 """Noise-conditioned stochastic imputer.
 
 The imputer is an MLP from [state encoding ++ noise] to a full substitution
-vector; sampled completions always pass through `substitute`, so observed
+vector; sampled completions always pass through `substitute_batch`, so observed
 coordinates are preserved bitwise.  Training is self-supervised: hide part of
 what is observed, reconstruct it.  The sinusoid variant takes an extra
 linear-interpolation channel and carries a Gaussian smoothness penalty.
@@ -9,13 +9,12 @@ linear-interpolation channel and carries a Gaussian smoothness penalty.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .masks import MissingState, round_half_up, substitute, substitute_batch
+from .masks import round_half_up, substitute_batch
 
 VARIANTS = ("image", "sinusoid")
 
@@ -81,29 +80,18 @@ def build_imputer(
     return ImputerModel(net, noise_dim, variant)
 
 
-def _interp_row(values: np.ndarray, mask: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    obs = np.flatnonzero(mask == 1.0)
-    if obs.size == 0:
-        return np.zeros_like(values)
-    # np.interp extrapolates by holding the outermost observed values
-    return np.interp(grid, grid[obs], values[obs])
-
-
-def interpolate_baseline(x_m: MissingState, grid: np.ndarray | None = None) -> np.ndarray:
-    """Piecewise-linear fill of the unobserved coordinates; constant tails."""
-    if grid is None:
-        grid = np.arange(x_m.dim, dtype=np.float64)
-    if x_m.observed_count() == 0:
-        warnings.warn("interpolation with zero observed coordinates; returning zeros")
-        return np.zeros(x_m.dim)
-    return _interp_row(x_m.values, x_m.mask, np.asarray(grid, dtype=np.float64))
-
-
 def interpolate_batch(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Piecewise-linear fill of each row from its observed coordinates.
+
+    np.interp holds the outermost observed values over the tails; a row with
+    nothing observed stays zero.
+    """
     grid = np.arange(values.shape[1], dtype=np.float64)
     out = np.zeros_like(values)
     for i in range(values.shape[0]):
-        out[i] = _interp_row(values[i], masks[i], grid)
+        obs = np.flatnonzero(masks[i] == 1.0)
+        if obs.size:
+            out[i] = np.interp(grid, grid[obs], values[i, obs])
     return out
 
 
@@ -113,20 +101,6 @@ def net_inputs(model: ImputerModel, values: np.ndarray, masks: np.ndarray) -> np
     if model.variant == "sinusoid":
         cols.append(interpolate_batch(values, masks))
     return np.concatenate(cols, axis=1)
-
-
-def impute_sample(model: ImputerModel, x_m: MissingState, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(model.noise_dim)
-    x = np.concatenate([net_inputs(model, x_m.values[None, :], x_m.mask[None, :])[0], z])
-    y, _ = nn.forward(model.net, x, mode="eval")
-    return substitute(x_m, y)
-
-
-def impute_multiple(model: ImputerModel, x_m: MissingState, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return np.stack([impute_sample(model, x_m, rng) for _ in range(k)])
 
 
 def impute_batch(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
@@ -292,18 +266,6 @@ def loss_supervised_batch(
     upstream = 2.0 * diff / counts[scored][:, None] / b
     grads, _ = nn.backward(model.net, tape, upstream)
     return float(rows.mean()), grads
-
-
-def loss_supervised(
-    model: ImputerModel,
-    x_m: MissingState,
-    xbar: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[float, list[np.ndarray]]:
-    return loss_supervised_batch(
-        model, x_m.values[None, :], x_m.mask[None, :],
-        np.asarray(xbar, dtype=np.float64)[None, :], rng,
-    )
 
 
 def pretrain(

@@ -1,8 +1,8 @@
 """Mask algebra and the missing-data representation shared by every module.
 
-A mask is a float64 vector of 0/1 flags (1 = observed).  Missing data is the
-pair (values-with-zero-fill, mask); the mask channel is what distinguishes a
-true zero from an unobserved coordinate.
+A mask is a float64 array of 0/1 flags (1 = observed), one row per example.
+Missing data is the pair (values-with-zero-fill, masks); the mask channel is
+what distinguishes a true zero from an unobserved coordinate.
 """
 
 from __future__ import annotations
@@ -20,71 +20,15 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def as_mask(bits) -> np.ndarray:
-    m = np.asarray(bits, dtype=np.float64)
-    if m.ndim != 1 or not np.all((m == 0.0) | (m == 1.0)):
-        raise ValueError("mask must be a 1-D vector of 0/1 values")
-    return m
-
-
-@dataclass
-class MissingState:
-    """Observed values (zero-filled at unobserved coordinates) plus mask."""
-
-    values: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.mask = as_mask(self.mask)
-        if self.values.shape != self.mask.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} != mask shape {self.mask.shape}"
-            )
-
-    @classmethod
-    def from_complete(cls, x, mask) -> "MissingState":
-        """Observe x through mask, zero-filling the unobserved coordinates."""
-        mask = as_mask(mask)
-        return cls(np.asarray(x, dtype=np.float64) * mask, mask)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def observed_count(self) -> int:
-        return int(self.mask.sum())
-
-
-@dataclass
-class MaskDistributionSpec:
-    """Uniform MCAR with a fixed number of observed coordinates."""
-
-    kind: str = "mcar-uniform"
-    n_observed: int = 0
-
-    def __post_init__(self):
-        if self.kind != "mcar-uniform":
-            raise ValueError(f"unsupported mask distribution {self.kind!r}")
-        if self.n_observed < 0:
-            raise ValueError("n_observed must be >= 0")
-
-
-def mcar_spec(d: int, missing_rate: float) -> MaskDistributionSpec:
+def mcar_spec(d: int, missing_rate: float) -> int:
+    """Observed count per example of uniform MCAR at missing_rate."""
     if not (0.0 <= missing_rate <= 1.0):
         raise ValueError(f"missing rate must lie in [0, 1], got {missing_rate}")
-    return MaskDistributionSpec(n_observed=round_half_up(d * (1.0 - missing_rate)))
-
-
-def substitute(x_m: MissingState, y) -> np.ndarray:
-    """Fill unobserved coordinates from y; observed ones pass through exactly."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != x_m.values.shape:
-        raise ValueError(f"substitution shape {y.shape} != data shape {x_m.values.shape}")
-    return np.where(x_m.mask == 1.0, x_m.values, y)
+    return round_half_up(d * (1.0 - missing_rate))
 
 
 def substitute_batch(values: np.ndarray, masks: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fill unobserved coordinates from y; observed ones pass through exactly."""
     if y.shape != values.shape:
         raise ValueError(f"substitution shape {y.shape} != data shape {values.shape}")
     return np.where(masks == 1.0, values, y)
@@ -97,15 +41,6 @@ def sample_mcar_mask(d: int, n_observed: int, rng: np.random.Generator) -> np.nd
     mask = np.zeros(d)
     mask[rng.choice(d, size=n_observed, replace=False)] = 1.0
     return mask
-
-
-def encode_state(x_m: MissingState) -> np.ndarray:
-    """Network encoding: concatenation [values, mask], length 2D."""
-    return np.concatenate([x_m.values, x_m.mask])
-
-
-def encode_states(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    return np.concatenate([values, masks], axis=1)
 
 
 @dataclass
@@ -143,9 +78,6 @@ class MissingDataset:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def state(self, i: int) -> MissingState:
-        return MissingState(self.values[i].copy(), self.masks[i].copy())
-
     def without_ground_truth(self) -> "MissingDataset":
         """Training-side view: same rows, ground truth stripped."""
         return MissingDataset(self.values, self.masks, None)
@@ -153,15 +85,18 @@ class MissingDataset:
 
 def mask_dataset(
     complete: np.ndarray,
-    spec: MaskDistributionSpec,
+    n_observed: int,
     rng: np.random.Generator,
 ) -> MissingDataset:
-    """Apply an independent MCAR mask to every example; keep truth separately."""
+    """Observe n_observed uniformly chosen coordinates of every example
+    (independent MCAR masks); keep the truth separately."""
     complete = np.asarray(complete, dtype=np.float64)
     n, d = complete.shape
+    if not (0 <= n_observed <= d):
+        raise ValueError(f"n_observed must lie in [0, {d}], got {n_observed}")
     masks = np.zeros((n, d))
     for i in range(n):
-        masks[i] = sample_mcar_mask(d, spec.n_observed, rng)
+        masks[i] = sample_mcar_mask(d, n_observed, rng)
     return MissingDataset(complete * masks, masks, ground_truth=complete.copy())
 
 

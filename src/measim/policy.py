@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .masks import MissingState
 
 
 @dataclass
@@ -59,29 +58,14 @@ def build_policy(
 
 
 def masked_softmax(scores: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Probs over unobserved coordinates, exact zeros on observed ones."""
-    single = np.asarray(scores).ndim == 1
-    scores = np.atleast_2d(scores)
-    masks = np.atleast_2d(masks)
+    """(B, D) probs over unobserved coordinates, exact zeros on observed ones."""
     if np.any(masks.sum(axis=1) >= masks.shape[1]):
         raise ValueError("fully observed state has no legal action")
     unobs = masks == 0.0
     shifted = np.where(unobs, scores, -np.inf)
     peak = shifted.max(axis=1, keepdims=True)
     ex = np.where(unobs, np.exp(shifted - peak), 0.0)
-    out = ex / ex.sum(axis=1, keepdims=True)
-    return out[0] if single else out
-
-
-def action_distribution(
-    model: PolicyModel,
-    x_m: MissingState,
-    dropout_mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    x = np.concatenate([x_m.values, x_m.mask])
-    scores, _ = nn.forward(model.actor, x, mode=dropout_mode, rng=rng)
-    return masked_softmax(scores, x_m.mask)
+    return ex / ex.sum(axis=1, keepdims=True)
 
 
 def flatten_explore(probs: np.ndarray, masks: np.ndarray, e: float) -> np.ndarray:
@@ -92,16 +76,10 @@ def flatten_explore(probs: np.ndarray, masks: np.ndarray, e: float) -> np.ndarra
     """
     if not (0.0 <= e <= 0.5):
         raise ValueError(f"exploration rate must lie in [0, 0.5], got {e}")
-    single = np.asarray(probs).ndim == 1
-    probs = np.atleast_2d(probs)
-    masks = np.atleast_2d(masks)
     if e == 0.0:
-        out = probs.copy()
-    else:
-        unobs = masks == 0.0
-        u = np.where(unobs, (1.0 - e) * probs + e * (1.0 - probs), 0.0)
-        out = u / u.sum(axis=1, keepdims=True)
-    return out[0] if single else out
+        return probs.copy()
+    u = np.where(masks == 0.0, (1.0 - e) * probs + e * (1.0 - probs), 0.0)
+    return u / u.sum(axis=1, keepdims=True)
 
 
 def unobserved_normalizer(masks: np.ndarray, e: float) -> np.ndarray:
@@ -149,28 +127,14 @@ def sample_actions(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.argmax(cum > u[:, None], axis=1)
 
 
-def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
-    return int(sample_actions(dist, rng)[0])
-
-
-def greedy_action(model: PolicyModel, x_m: MissingState) -> int:
-    """Masked argmax of the dropout-free actor scores; ties go to the lowest index."""
-    if x_m.observed_count() >= x_m.dim:
-        raise ValueError("fully observed state has no legal action")
-    x = np.concatenate([x_m.values, x_m.mask])
-    scores, _ = nn.forward(model.actor, x, mode="eval")
-    masked = np.where(x_m.mask == 0.0, scores, -np.inf)
-    return int(np.argmax(masked))
-
-
 @dataclass
 class StepBatch:
     """One lockstep slice of a batched rollout, everything needed for grads."""
 
     state: np.ndarray           # (B, 2D) encoding [values, masks] before the action
     tape: nn.Tape | None        # actor forward tape; None for greedy steps
-    probs: np.ndarray           # (B, D) plain masked softmax
-    sample_probs: np.ndarray    # (B, D) distribution that sampled the action
+    probs: np.ndarray | None    # (B, D) plain masked softmax; None for greedy steps
+    sample_probs: np.ndarray | None  # (B, D) distribution that sampled the action
     actions: np.ndarray         # (B,) chosen coordinates
     explore_e: float = 0.0
     # (critic net, tape) of the latest critic forward on state; see critic_forward

@@ -28,13 +28,10 @@ import numpy as np
 
 from . import nn, rngs
 from .episodes import (
-    ExplicitSelector,
     RewardConfig,
     Rollout,
-    UniformSelector,
     horizon_for,
     rollout_batch,
-    rollout_with_selector,
     terminal_rewards_batch,
     write_episode_trace,
 )
@@ -583,18 +580,3 @@ def run_training(
             save_imputer(trained_imputer, os.path.join(out_dir, "imputer.ckpt"))
             write_run_csv(record, os.path.join(out_dir, "run.csv"))
     return policy, trained_imputer, record
-
-
-# ---------------------------------------------------------------------------
-# baseline measurement policies
-
-
-def baseline_uninform(data: np.ndarray, horizon: int, rng: np.random.Generator) -> Rollout:
-    """Measure a uniform-without-replacement coordinate order."""
-    return rollout_with_selector(UniformSelector(), data, horizon, rng)
-
-
-def baseline_explicit(imputer: ImputerModel, data: np.ndarray, horizon: int,
-                      k: int, rng: np.random.Generator) -> Rollout:
-    """Measure the coordinate whose k imputations disagree most, each step."""
-    return rollout_with_selector(ExplicitSelector(imputer, k=k), data, horizon, rng)

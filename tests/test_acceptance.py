@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 from measim import nn, rngs, training
-from measim.data import gen_sinusoid_dataset, mnist12_dataset
+from measim.data import MNIST_STEMS, find_mnist_file, gen_sinusoid_dataset, mnist12_dataset
 from measim.episodes import ExplicitSelector, UniformSelector, rollout_batch, topk_rmse
 from measim.evaluate import eval_policy
-from measim.masks import MissingState, mask_dataset, mcar_spec, sample_mcar_mask
+from measim.masks import mask_dataset, mcar_spec, sample_mcar_mask
 from measim.policy import (
     ReinforceConfig,
-    action_distribution,
     build_policy,
     flatten_explore,
     load_policy,
+    masked_softmax,
     reinforce_update,
     sample_actions,
 )
@@ -152,24 +152,15 @@ def eval_80(trained_80, sin_single):
 
 
 # mnist12 gates need the raw IDX files; everything else is self-generated
-MNIST_STEMS = ("train-images-idx3-ubyte", "t10k-images-idx3-ubyte")
-
-
 def _mnist_paths(num: int) -> tuple[str, str]:
     directory = os.environ.get("MEASIM_MNIST_DIR")
     if not directory:
         skip(num, "MNIST IDX data unavailable; set MEASIM_MNIST_DIR to a "
                   f"directory holding {MNIST_STEMS[0]} and {MNIST_STEMS[1]}")
-    paths = []
-    for stem in MNIST_STEMS:
-        for name in (stem, stem.replace("-idx", ".idx")):
-            p = os.path.join(directory, name)
-            if os.path.exists(p):
-                paths.append(p)
-                break
-        else:
-            skip(num, f"missing file: {os.path.join(directory, stem)}")
-    return tuple(paths)
+    try:
+        return tuple(find_mnist_file(directory, stem) for stem in MNIST_STEMS)
+    except FileNotFoundError as e:
+        skip(num, str(e))
 
 
 @pytest.fixture(scope="module")
@@ -253,12 +244,16 @@ def test_02_policy_constraint_suite():
                           dropout=0.0, rng=rng)
 
     masks = np.zeros((n_states, d), dtype=bool)
-    probs = np.zeros((n_states, d))
+    values = np.zeros((n_states, d))
     for i in range(n_states):
         n_obs = int(rng.integers(0, d))  # always at least one unobserved
         masks[i] = sample_mcar_mask(d, n_obs, rng)
-        values = np.where(masks[i], rng.normal(size=d), 0.0)
-        probs[i] = action_distribution(policy, MissingState(values, masks[i]))
+        values[i] = np.where(masks[i], rng.normal(size=d), 0.0)
+    # all 1000 states in one dropout-free actor forward
+    bits = masks.astype(np.float64)
+    scores, _ = nn.forward(policy.actor, np.concatenate([values, bits], axis=1),
+                           mode="eval")
+    probs = masked_softmax(scores, bits)
 
     sampled = 0
     observed_hits = 0
@@ -348,14 +343,19 @@ def test_05_bandit_sanity():
                               dropout=0.0, rng=rng)
         cfg = ReinforceConfig(beta=0.3, normalize_advantages=True, explore_e=0.0)
         x_bar = np.zeros((32, 2))
-        state = MissingState(np.zeros(2), np.zeros(2, dtype=bool))
-        prob = action_distribution(policy, state)[0]
+        empty = np.zeros((1, 4))   # [values, masks] with nothing observed
+
+        def p_best():
+            scores, _ = nn.forward(policy.actor, empty, mode="eval")
+            return masked_softmax(scores, empty[:, 2:])[0, 0]
+
+        prob = p_best()
         for _ in range(500):
             roll = rollout_batch(policy, x_bar, horizon=1, mode="stochastic",
                                  rng=rng)
             rewards = (roll.steps[0].actions == 0).astype(float)
             reinforce_update(policy, roll.steps, rewards, cfg)
-            prob = action_distribution(policy, state)[0]
+            prob = p_best()
             if prob > 0.9:
                 break
         finals.append(prob)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from measim.data import (
     GRID,
+    MNIST_STEMS,
     IdxFormatError,
     SinusoidParams,
     crop_resize_12,
+    find_mnist_file,
     gen_sinusoid,
     gen_sinusoid_dataset,
     gen_stroke_digits,
@@ -245,6 +247,17 @@ def test_mnist12_dataset_end_to_end(tmp_path):
     limited = mnist12_dataset(path, n_limit=2)
     assert limited.shape == (2, 144)
     assert np.array_equal(limited, data[:2])
+
+
+def test_find_mnist_file_accepts_dotted_name(tmp_path):
+    train_stem, test_stem = MNIST_STEMS
+    (tmp_path / "train-images.idx3-ubyte").write_bytes(b"")
+    assert find_mnist_file(tmp_path, train_stem) == str(tmp_path / "train-images.idx3-ubyte")
+    # the stem itself wins over the dotted spelling
+    (tmp_path / train_stem).write_bytes(b"")
+    assert find_mnist_file(tmp_path, train_stem) == str(tmp_path / train_stem)
+    with pytest.raises(FileNotFoundError, match=f"missing file: .*{test_stem}"):
+        find_mnist_file(tmp_path, test_stem)
 
 
 def test_stroke_digits_properties():

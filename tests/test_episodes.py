@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 
 from measim.episodes import (
-    Episode,
     ExplicitSelector,
     RewardConfig,
     UniformSelector,
-    generate_complete,
     horizon_for,
     rollout_batch,
     rollout_with_selector,
-    run_episode,
-    terminal_reward,
     terminal_rewards_batch,
     topk_rmse,
     write_episode_trace,
 )
-from measim.imputer import build_imputer
-from measim.masks import MissingState
+from measim.imputer import build_imputer, impute_batch
 from measim.policy import actor_gradient, build_policy
 
 
@@ -63,16 +58,16 @@ def test_reward_config_validation():
 
 
 def test_generate_complete_contracts():
+    # x̄ for an episode is one imputation draw of a training row
     model = build_imputer(6, "sinusoid", rng=np.random.default_rng(1))
-    full = MissingState(np.array([1.0, 2, 3, 4, 5, 6]), np.ones(6))
-    assert np.array_equal(generate_complete(model, full, np.random.default_rng(2)),
-                          full.values)
+    full = np.array([[1.0, 2, 3, 4, 5, 6]])
+    assert np.array_equal(impute_batch(model, full, np.ones((1, 6)), np.random.default_rng(2)),
+                          full)
 
-    mask = np.array([1.0, 0, 1, 0, 0, 1])
-    vals = np.array([0.5, 0, -0.3, 0, 0, 0.9]) * mask
-    x_m = MissingState(vals, mask)
-    a = generate_complete(model, x_m, np.random.default_rng(3))
-    b = generate_complete(model, x_m, np.random.default_rng(3))
+    mask = np.array([[1.0, 0, 1, 0, 0, 1]])
+    vals = np.array([[0.5, 0, -0.3, 0, 0, 0.9]]) * mask
+    a = impute_batch(model, vals, mask, np.random.default_rng(3))
+    b = impute_batch(model, vals, mask, np.random.default_rng(3))
     assert np.array_equal(a, b)
     assert np.array_equal(a[mask == 1.0], vals[mask == 1.0])
 
@@ -83,32 +78,34 @@ def test_generate_complete_contracts():
 def test_full_horizon_reveals_everything():
     d = 7
     policy = make_policy(d)
-    x_bar = np.random.default_rng(4).normal(size=d)
-    ep = run_episode(policy, x_bar, d, "stochastic", np.random.default_rng(5))
-    assert np.array_equal(ep.terminal_state.mask, np.ones(d))
-    assert np.array_equal(ep.terminal_state.values, x_bar)
+    x_bar = np.random.default_rng(4).normal(size=(1, d))
+    roll = rollout_batch(policy, x_bar, d, "stochastic", np.random.default_rng(5))
+    assert np.array_equal(roll.terminal_masks, np.ones((1, d)))
+    assert np.array_equal(roll.terminal_values, x_bar)
 
 
 def test_step_mask_cardinality_and_consistency():
     d = 9
     policy = make_policy(d)
-    x_bar = np.random.default_rng(6).normal(size=d)
-    ep = run_episode(policy, x_bar, 5, "explore", np.random.default_rng(7))
-    assert len(ep.steps) == 5
-    for t, (state, action, log_prob) in enumerate(ep.steps):
-        assert state.observed_count() == t
-        obs = state.mask == 1.0
-        assert np.array_equal(state.values[obs], x_bar[obs])
-        assert state.mask[action] == 0.0
+    x_bar = np.random.default_rng(6).normal(size=(1, d))
+    roll = rollout_batch(policy, x_bar, 5, "explore", np.random.default_rng(7))
+    assert roll.horizon == 5
+    for t, s in enumerate(roll.steps):
+        a = int(s.actions[0])
+        assert s.masks.sum() == t
+        obs = s.masks == 1.0
+        assert np.array_equal(s.values[obs], x_bar[obs])
+        assert s.masks[0, a] == 0.0
+        log_prob = np.log(s.sample_probs[0, a])
         assert np.isfinite(log_prob) and log_prob <= 0.0
-    assert ep.terminal_state.observed_count() == 5
-    actions = [a for _, a, _ in ep.steps]
+    assert roll.terminal_masks.sum() == 5
+    actions = [int(s.actions[0]) for s in roll.steps]
     assert len(set(actions)) == 5
     # revealing order reconstructs the terminal state
-    rebuilt = np.zeros(d)
-    for _, a, _ in ep.steps:
-        rebuilt[a] = x_bar[a]
-    assert np.array_equal(rebuilt, ep.terminal_state.values)
+    rebuilt = np.zeros((1, d))
+    for a in actions:
+        rebuilt[0, a] = x_bar[0, a]
+    assert np.array_equal(rebuilt, roll.terminal_values)
 
 
 @pytest.mark.parametrize("mode", ["explore", "stochastic", "greedy"])
@@ -168,9 +165,9 @@ def test_only_train_mode_steps_keep_tapes():
         actor_gradient(policy, roll.steps, adv)
 
 
-def test_greedy_rollout_holds_states_probs_and_actions_only():
-    # 20 step states + the terminal one + 20 (B, D) probs = 31 states; a kept
-    # actor tape would add about 3 states per step (92 in all)
+def test_greedy_rollout_holds_states_and_actions_only():
+    # 20 step states + the terminal one = 21 states; keeping the (B, D) probs
+    # would add 10 more, a kept actor tape about 3 per step
     b, d, horizon = 720, 100, 20
     policy = build_policy(d, rng=np.random.default_rng(18))
     x_bar = np.random.default_rng(19).normal(size=(b, d))
@@ -183,16 +180,17 @@ def test_greedy_rollout_holds_states_probs_and_actions_only():
     finally:
         tracemalloc.stop()
     assert roll.horizon == horizon
-    assert held <= 32 * one_state, held / one_state
+    assert all(s.probs is None and s.sample_probs is None for s in roll.steps)
+    assert held <= 22 * one_state, held / one_state
 
 
 def test_greedy_rollout_deterministic():
     d = 6
     policy = make_policy(d, seed=12)
-    x_bar = np.random.default_rng(13).normal(size=d)
-    a = run_episode(policy, x_bar, 4, "greedy", np.random.default_rng(14))
-    b = run_episode(policy, x_bar, 4, "greedy", np.random.default_rng(15))
-    assert [s[1] for s in a.steps] == [s[1] for s in b.steps]
+    x_bar = np.random.default_rng(13).normal(size=(1, d))
+    a = rollout_batch(policy, x_bar, 4, "greedy", np.random.default_rng(14))
+    b = rollout_batch(policy, x_bar, 4, "greedy", np.random.default_rng(15))
+    assert [int(s.actions[0]) for s in a.steps] == [int(s.actions[0]) for s in b.steps]
 
 
 def test_rollout_validation():
@@ -229,25 +227,36 @@ def test_topk_rmse_nested_monotone():
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+def test_topk_rmse_broadcasts_over_rows():
+    rng = np.random.default_rng(17)
+    x_bar = rng.normal(size=(4, 7))
+    cands = rng.normal(size=(3, 4, 7))
+    errs = topk_rmse(cands, x_bar)
+    assert errs.shape == (4,)
+    for i in range(4):
+        assert errs[i] == topk_rmse(cands[:, i], x_bar[i])
+
+
 def test_terminal_reward_zero_when_candidate_exact():
     d = 5
-    x_bar = np.linspace(0.0, 1.0, d)
-    model = constant_imputer(d, "sinusoid", x_bar)
+    x_bar = np.linspace(0.0, 1.0, d)[None, :]
+    model = constant_imputer(d, "sinusoid", x_bar[0])
     policy = make_policy(d, seed=17)
-    ep = run_episode(policy, x_bar, 2, "stochastic", np.random.default_rng(18))
-    r = terminal_reward(model, ep, RewardConfig(k=3), np.random.default_rng(19))
-    assert r == 0.0
+    roll = rollout_batch(policy, x_bar, 2, "stochastic", np.random.default_rng(18))
+    r = terminal_rewards_batch(model, roll, RewardConfig(k=3), np.random.default_rng(19))
+    assert np.array_equal(r, [0.0])
 
 
 def test_terminal_reward_negative_on_mismatch():
     d = 5
     model = constant_imputer(d, "sinusoid", 0.0)
-    x_bar = np.ones(d)
+    x_bar = np.ones((1, d))
     policy = make_policy(d, seed=20)
-    ep = run_episode(policy, x_bar, 2, "stochastic", np.random.default_rng(21))
-    r = terminal_reward(model, ep, RewardConfig(k=2), np.random.default_rng(22))
+    roll = rollout_batch(policy, x_bar, 2, "stochastic", np.random.default_rng(21))
+    r = terminal_rewards_batch(model, roll, RewardConfig(k=2), np.random.default_rng(22))
     # three unobserved ones against constant-zero imputations
-    assert np.isclose(r, -np.sqrt(3.0 / 5.0), atol=1e-12)
+    assert r.shape == (1,)
+    assert np.isclose(r[0], -np.sqrt(3.0 / 5.0), atol=1e-12)
 
 
 def test_batch_rewards_match_shape_and_sign():

@@ -11,17 +11,14 @@ from measim.imputer import (
     build_imputer,
     gaussian_smoother_matrix,
     impute_batch,
-    impute_multiple,
-    impute_sample,
-    interpolate_baseline,
+    interpolate_batch,
     load_imputer,
-    loss_supervised,
     loss_supervised_batch,
     loss_unsupervised,
     pretrain,
     save_imputer,
 )
-from measim.masks import MaskDistributionSpec, MissingState, mask_dataset
+from measim.masks import mask_dataset
 
 
 def constant_output_imputer(d, variant, out_bias, noise_dim=2):
@@ -105,47 +102,48 @@ def test_loss_config_validation():
 
 def test_impute_fully_observed_returns_values():
     model = build_imputer(5, "image", rng=np.random.default_rng(1))
-    x_m = MissingState(np.array([0.1, 0.9, 0.4, 0.0, 1.0]), np.ones(5))
-    out = impute_sample(model, x_m, np.random.default_rng(2))
-    assert np.array_equal(out, x_m.values)
+    values = np.array([[0.1, 0.9, 0.4, 0.0, 1.0]])
+    out = impute_batch(model, values, np.ones((1, 5)), np.random.default_rng(2))
+    assert np.array_equal(out, values)
 
 
 def test_impute_observed_preserved_bitwise():
     rng = np.random.default_rng(3)
     model = build_imputer(8, "sinusoid", rng=rng)
     for _ in range(20):
-        vals = rng.normal(size=8)
-        mask = (rng.random(8) < 0.5).astype(np.float64)
-        x_m = MissingState(vals * mask, mask)
-        out = impute_sample(model, x_m, rng)
+        vals = rng.normal(size=(1, 8))
+        mask = (rng.random((1, 8)) < 0.5).astype(np.float64)
+        out = impute_batch(model, vals * mask, mask, rng)
         obs = mask == 1.0
-        assert np.array_equal(out[obs], x_m.values[obs])
+        assert np.array_equal(out[obs], (vals * mask)[obs])
 
 
 def test_impute_sample_deterministic():
     model = build_imputer(6, "image", rng=np.random.default_rng(4))
-    x_m = MissingState(np.zeros(6), np.zeros(6))
-    a = impute_sample(model, x_m, np.random.default_rng(7))
-    b = impute_sample(model, x_m, np.random.default_rng(7))
+    empty = np.zeros((1, 6))
+    a = impute_batch(model, empty, empty, np.random.default_rng(7))
+    b = impute_batch(model, empty, empty, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
 def test_impute_multiple_contracts():
     model = build_imputer(6, "image", rng=np.random.default_rng(5))
-    x_m = MissingState(np.zeros(6), np.zeros(6))
-    one = impute_multiple(model, x_m, 1, np.random.default_rng(8))
-    single = impute_sample(model, x_m, np.random.default_rng(8))
+    empty = np.zeros((1, 6))
+    one = impute_batch(model, empty, empty, np.random.default_rng(8), k=1)
+    single = impute_batch(model, empty, empty, np.random.default_rng(8))
+    assert one.shape == (1, 1, 6)
     assert np.array_equal(one[0], single)
 
-    full = MissingState(np.array([1.0, 2, 3, 4, 5, 6]), np.ones(6))
-    three = impute_multiple(model, full, 3, np.random.default_rng(9))
-    assert all(np.array_equal(row, full.values) for row in three)
+    full = np.array([[1.0, 2, 3, 4, 5, 6]])
+    three = impute_batch(model, full, np.ones((1, 6)), np.random.default_rng(9), k=3)
+    assert three.shape == (3, 1, 6)
+    assert all(np.array_equal(draw, full) for draw in three)
 
-    a = impute_multiple(model, x_m, 5, np.random.default_rng(10))
-    b = impute_multiple(model, x_m, 5, np.random.default_rng(10))
+    a = impute_batch(model, empty, empty, np.random.default_rng(10), k=5)
+    b = impute_batch(model, empty, empty, np.random.default_rng(10), k=5)
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        impute_multiple(model, x_m, 0, np.random.default_rng(0))
+        impute_batch(model, empty, empty, np.random.default_rng(0), k=0)
 
 
 def test_impute_batch_preserves_observed():
@@ -180,33 +178,39 @@ def test_impute_batch_k_draws_equal_sequential_calls(variant):
 
 
 def test_interpolate_two_point_ramp():
-    vals = np.zeros(100)
-    mask = np.zeros(100)
-    mask[0], mask[99] = 1.0, 1.0
-    vals[99] = 1.0
-    out = interpolate_baseline(MissingState(vals, mask))
-    assert np.allclose(out, np.arange(100) / 99.0, atol=1e-15)
+    vals = np.zeros((1, 100))
+    mask = np.zeros((1, 100))
+    mask[0, 0], mask[0, 99] = 1.0, 1.0
+    vals[0, 99] = 1.0
+    out = interpolate_batch(vals, mask)
+    assert np.allclose(out[0], np.arange(100) / 99.0, atol=1e-15)
 
 
 def test_interpolate_single_observation_constant():
-    vals = np.zeros(10)
-    mask = np.zeros(10)
-    vals[4], mask[4] = 3.5, 1.0
-    out = interpolate_baseline(MissingState(vals, mask))
-    assert np.array_equal(out, np.full(10, 3.5))
+    vals = np.zeros((1, 10))
+    mask = np.zeros((1, 10))
+    vals[0, 4], mask[0, 4] = 3.5, 1.0
+    out = interpolate_batch(vals, mask)
+    assert np.array_equal(out, np.full((1, 10), 3.5))
 
 
 def test_interpolate_fully_observed_identity():
     rng = np.random.default_rng(12)
-    vals = rng.normal(size=10)
-    out = interpolate_baseline(MissingState(vals, np.ones(10)))
+    vals = rng.normal(size=(1, 10))
+    out = interpolate_batch(vals, np.ones((1, 10)))
     assert np.array_equal(out, vals)
 
 
-def test_interpolate_zero_observed_warns():
-    with pytest.warns(UserWarning, match="zero observed"):
-        out = interpolate_baseline(MissingState(np.zeros(5), np.zeros(5)))
-    assert np.array_equal(out, np.zeros(5))
+def test_interpolate_zero_observed_gives_zeros():
+    rng = np.random.default_rng(13)
+    vals = rng.normal(size=(3, 5))
+    masks = np.ones((3, 5))
+    masks[1] = 0.0
+    vals[1] = 0.0
+    out = interpolate_batch(vals, masks)
+    assert np.array_equal(out[1], np.zeros(5))
+    # the empty row leaves its neighbours alone
+    assert np.array_equal(out[[0, 2]], vals[[0, 2]])
 
 
 # ---------------------------------------------------------------- smoothing
@@ -326,23 +330,25 @@ def test_unsupervised_gradient_with_smoothness_matches_fd():
 
 def test_supervised_hand_examples():
     model = constant_output_imputer(2, "sinusoid", 0.0)
-    x_m = MissingState(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    loss, _ = loss_supervised(model, x_m, np.array([1.0, 2.0]), np.random.default_rng(0))
+    values, mask = np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])
+    loss, _ = loss_supervised_batch(model, values, mask, np.array([[1.0, 2.0]]),
+                                    np.random.default_rng(0))
     assert loss == 4.0
 
     # invariant to observed coordinates of the truth vector
-    loss_b, _ = loss_supervised(model, x_m, np.array([-50.0, 2.0]), np.random.default_rng(0))
+    loss_b, _ = loss_supervised_batch(model, values, mask, np.array([[-50.0, 2.0]]),
+                                      np.random.default_rng(0))
     assert loss_b == loss
 
     perfect = constant_output_imputer(2, "sinusoid", [0.0, 2.0])
-    loss_p, grads = loss_supervised(perfect, x_m, np.array([1.0, 2.0]),
-                                    np.random.default_rng(0))
+    loss_p, grads = loss_supervised_batch(perfect, values, mask, np.array([[1.0, 2.0]]),
+                                          np.random.default_rng(0))
     assert loss_p == 0.0
 
     # fully observed input: loss defined as 0 with zero gradients
-    full = MissingState(np.array([1.0, 2.0]), np.ones(2))
-    loss_f, grads_f = loss_supervised(model, full, np.array([1.0, 2.0]),
-                                      np.random.default_rng(0))
+    full = np.array([[1.0, 2.0]])
+    loss_f, grads_f = loss_supervised_batch(model, full, np.ones((1, 2)), full,
+                                            np.random.default_rng(0))
     assert loss_f == 0.0
     assert all(np.all(g == 0.0) for g in grads_f)
 
@@ -372,7 +378,7 @@ def test_pretrain_constant_dataset_fits():
     d = 10
     row = np.linspace(-0.5, 0.5, d)
     complete = np.tile(row, (64, 1))
-    ds = mask_dataset(complete, MaskDistributionSpec(n_observed=5),
+    ds = mask_dataset(complete, 5,
                       np.random.default_rng(23))
     model = build_imputer(d, "sinusoid", noise_dim=2, hidden=(32,),
                           rng=np.random.default_rng(24))
@@ -391,7 +397,7 @@ def test_pretrain_loss_curve_mostly_decreasing():
     # epoch means over 512 examples keep self-mask redraw noise below the
     # per-epoch descent during the early training phase measured here
     train, _ = gen_sinusoid_dataset(n_train=512, n_test=1, seed=27)
-    ds = mask_dataset(train, MaskDistributionSpec(n_observed=20),
+    ds = mask_dataset(train, 20,
                       np.random.default_rng(28))
     model = build_imputer(100, "sinusoid", noise_dim=4, hidden=(32,),
                           rng=np.random.default_rng(29))
@@ -507,19 +513,19 @@ def test_adapt_combined_step_matches_explicit_combination():
 
 def test_imputation_diversity_after_training():
     train, _ = gen_sinusoid_dataset(n_train=48, n_test=1, seed=45)
-    ds = mask_dataset(train, MaskDistributionSpec(n_observed=20),
+    ds = mask_dataset(train, 20,
                       np.random.default_rng(46))
     model = build_imputer(100, "sinusoid", noise_dim=4, hidden=(32,),
                           rng=np.random.default_rng(47))
     pretrain(model, ds.values, ds.masks, 10, nn.OptimizerState(kind="adam", lr=3e-3),
              ImputerLossConfig(), np.random.default_rng(48), batch_size=16)
 
-    x_m = MissingState(np.zeros(100), np.zeros(100))
+    empty = np.zeros((1, 100))
     rng = np.random.default_rng(49)
     distinct = 0
     for _ in range(100):
-        a = impute_sample(model, x_m, rng)
-        b = impute_sample(model, x_m, rng)
+        a = impute_batch(model, empty, empty, rng)
+        b = impute_batch(model, empty, empty, rng)
         if np.linalg.norm(a - b) > 0:
             distinct += 1
     assert distinct >= 99

@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measim import masks
+from measim.imputer import build_imputer, net_inputs
 from measim.masks import (
-    MaskDistributionSpec,
     MissingDataset,
-    MissingState,
-    encode_state,
     load_missing_csv,
     mask_dataset,
     mcar_spec,
     round_half_up,
     sample_mcar_mask,
     save_missing_csv,
-    substitute,
+    substitute_batch,
 )
 
 
@@ -31,49 +28,54 @@ def test_round_half_up_ties_go_up():
 
 
 def test_mcar_spec_counts():
-    assert mcar_spec(100, 0.9).n_observed == 10
-    assert mcar_spec(100, 0.0).n_observed == 100
-    assert mcar_spec(100, 1.0).n_observed == 0
-    assert mcar_spec(144, 0.85).n_observed == 22
+    assert mcar_spec(100, 0.9) == 10
+    assert mcar_spec(100, 0.0) == 100
+    assert mcar_spec(100, 1.0) == 0
+    assert mcar_spec(144, 0.85) == 22
     with pytest.raises(ValueError):
         mcar_spec(100, 1.5)
 
 
 def test_missing_state_validation():
-    s = MissingState(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    assert s.dim == 2
-    assert s.observed_count() == 1
+    # one row of missing data: matching (1, d) values and 0/1 masks
+    s = MissingDataset(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+    assert len(s) == 1 and s.dim == 2
+    assert s.masks.sum() == 1.0
     with pytest.raises(ValueError):
-        MissingState(np.array([1.0]), np.array([1.0, 0.0]))
+        MissingDataset(np.array([[1.0]]), np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
-        MissingState(np.array([1.0, 0.0]), np.array([1.0, 0.5]))
+        MissingDataset(np.array([[1.0, 0.0]]), np.array([[1.0, 0.5]]))
+    with pytest.raises(ValueError):
+        MissingDataset(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
 
 def test_from_complete_zero_fills():
-    s = MissingState.from_complete([3.0, 4.0, 5.0], [0, 1, 0])
-    assert np.array_equal(s.values, [0.0, 4.0, 0.0])
+    complete = np.array([[3.0, 4.0, 5.0]])
+    ds = mask_dataset(complete, 1, np.random.default_rng(0))
+    assert np.array_equal(ds.values, np.where(ds.masks == 1.0, complete, 0.0))
+    assert np.count_nonzero(ds.values) == 1
+    assert np.array_equal(ds.ground_truth, complete)
 
 
 def test_substitute_hand_example():
-    s = MissingState(np.array([5.0, 0.0, 7.0]), np.array([1.0, 0.0, 1.0]))
-    out = substitute(s, [9.0, 9.0, 9.0])
-    assert np.array_equal(out, [5.0, 9.0, 7.0])
+    out = substitute_batch(np.array([[5.0, 0.0, 7.0]]), np.array([[1.0, 0.0, 1.0]]),
+                           np.array([[9.0, 9.0, 9.0]]))
+    assert np.array_equal(out, [[5.0, 9.0, 7.0]])
 
 
 def test_substitute_all_observed_returns_values():
-    s = MissingState(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-    assert np.array_equal(substitute(s, [8.0, 8.0]), [1.0, 2.0])
+    out = substitute_batch(np.array([[1.0, 2.0]]), np.ones((1, 2)), np.array([[8.0, 8.0]]))
+    assert np.array_equal(out, [[1.0, 2.0]])
 
 
 def test_substitute_none_observed_returns_y():
-    s = MissingState(np.zeros(2), np.zeros(2))
-    assert np.array_equal(substitute(s, [8.0, 9.0]), [8.0, 9.0])
+    out = substitute_batch(np.zeros((1, 2)), np.zeros((1, 2)), np.array([[8.0, 9.0]]))
+    assert np.array_equal(out, [[8.0, 9.0]])
 
 
 def test_substitute_length_mismatch():
-    s = MissingState(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        substitute(s, [1.0, 2.0])
+        substitute_batch(np.zeros((1, 3)), np.zeros((1, 3)), np.array([[1.0, 2.0]]))
 
 
 @given(
@@ -87,14 +89,14 @@ def test_substitute_length_mismatch():
 )
 def test_substitute_preserves_observed(args):
     vals, bits, y = args
-    mask = np.array(bits, dtype=np.float64)
-    s = MissingState(np.array(vals) * mask, mask)
-    out = substitute(s, y)
+    mask = np.array([bits], dtype=np.float64)
+    values = np.array([vals]) * mask
+    out = substitute_batch(values, mask, np.array([y]))
     for i in range(len(vals)):
         if bits[i] == 1:
-            assert out[i] == s.values[i]
+            assert out[0, i] == values[0, i]
         else:
-            assert out[i] == y[i]
+            assert out[0, i] == y[i]
 
 
 def test_sample_mcar_mask_forced_counts():
@@ -135,13 +137,18 @@ def test_sample_mcar_mask_inclusion_frequency():
     assert np.all(np.abs(freq - 0.5) < 0.01)
 
 
+def encode(values, mask):
+    """The network encoding of one state, [values, mask], via the image imputer."""
+    model = build_imputer(len(values), "image", noise_dim=1, hidden=(2,))
+    return net_inputs(model, np.array([values], dtype=float),
+                      np.array([mask], dtype=float))[0]
+
+
 def test_encode_state_examples():
-    s = MissingState(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    assert np.array_equal(encode_state(s), [1.0, 0.0, 1.0, 0.0])
-    s = MissingState(np.zeros(3), np.zeros(3))
-    assert np.array_equal(encode_state(s), np.zeros(6))
-    s = MissingState(np.array([0.5, 0.2, 0.0]), np.array([1.0, 1.0, 0.0]))
-    assert np.array_equal(encode_state(s), [0.5, 0.2, 0.0, 1.0, 1.0, 0.0])
+    assert np.array_equal(encode([1.0, 0.0], [1.0, 0.0]), [1.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(encode(np.zeros(3), np.zeros(3)), np.zeros(6))
+    assert np.array_equal(encode([0.5, 0.2, 0.0], [1.0, 1.0, 0.0]),
+                          [0.5, 0.2, 0.0, 1.0, 1.0, 0.0])
 
 
 @given(
@@ -155,17 +162,16 @@ def test_encode_state_examples():
     )
 )
 def test_encode_state_injective(args):
-    v1, m1, v2, m2 = args
-    a = MissingState.from_complete(v1, m1)
-    b = MissingState.from_complete(v2, m2)
-    if np.array_equal(encode_state(a), encode_state(b)):
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.mask, b.mask)
+    v1, m1, v2, m2 = (np.array(a, dtype=float) for a in args)
+    v1, v2 = v1 * m1, v2 * m2
+    if np.array_equal(encode(v1, m1), encode(v2, m2)):
+        assert np.array_equal(v1, v2)
+        assert np.array_equal(m1, m2)
 
 
 def test_mask_dataset_full_observation_is_identity():
     complete = np.random.default_rng(1).normal(size=(8, 5))
-    ds = mask_dataset(complete, MaskDistributionSpec(n_observed=5), np.random.default_rng(2))
+    ds = mask_dataset(complete, 5, np.random.default_rng(2))
     assert np.array_equal(ds.values, complete)
     assert np.array_equal(ds.masks, np.ones((8, 5)))
     assert np.array_equal(ds.ground_truth, complete)
@@ -173,7 +179,7 @@ def test_mask_dataset_full_observation_is_identity():
 
 def test_mask_dataset_forced_cardinality():
     complete = np.random.default_rng(1).normal(size=(50, 100))
-    ds = mask_dataset(complete, MaskDistributionSpec(n_observed=10), np.random.default_rng(2))
+    ds = mask_dataset(complete, 10, np.random.default_rng(2))
     assert np.array_equal(ds.masks.sum(axis=1), np.full(50, 10.0))
     # zero fill where unobserved, truth where observed
     assert np.array_equal(ds.values, complete * ds.masks)
@@ -183,7 +189,7 @@ def test_mask_dataset_observation_frequency():
     # Binomial bound: n=2000 examples, p=0.3 per coordinate, 3 sigma.
     n, d, n_obs = 2000, 10, 3
     complete = np.zeros((n, d))
-    ds = mask_dataset(complete, MaskDistributionSpec(n_observed=n_obs), np.random.default_rng(3))
+    ds = mask_dataset(complete, n_obs, np.random.default_rng(3))
     p = n_obs / d
     sigma = np.sqrt(p * (1 - p) / n)
     freq = ds.masks.mean(axis=0)
@@ -191,10 +197,12 @@ def test_mask_dataset_observation_frequency():
 
 
 def test_mask_distribution_spec_validation():
-    with pytest.raises(ValueError):
-        MaskDistributionSpec(kind="bernoulli", n_observed=3)
-    with pytest.raises(ValueError):
-        MaskDistributionSpec(n_observed=-1)
+    # an observed count outside [0, d] is rejected up front, even with no rows
+    for rows in (3, 0):
+        for n_observed in (-1, 5):
+            with pytest.raises(ValueError, match="n_observed"):
+                mask_dataset(np.zeros((rows, 4)), n_observed, np.random.default_rng(0))
+    assert mask_dataset(np.zeros((0, 4)), 4, np.random.default_rng(0)).masks.shape == (0, 4)
 
 
 def test_missing_dataset_state_and_strip():
@@ -205,8 +213,7 @@ def test_missing_dataset_state_and_strip():
     )
     assert len(ds) == 2
     assert ds.dim == 2
-    s = ds.state(1)
-    assert np.array_equal(s.values, [0.0, 2.0])
+    assert np.array_equal(ds.values[1], [0.0, 2.0])
     stripped = ds.without_ground_truth()
     assert stripped.ground_truth is None
     assert np.array_equal(stripped.values, ds.values)
@@ -228,15 +235,14 @@ def test_csv_rejects_corrupt_rows(tmp_path, row, message):
 
 def test_missing_dataset_accepts_negative_zero_fill():
     # masking a negative value gives -0.0, which is still a zero fill
-    ds = mask_dataset(-np.ones((3, 4)), MaskDistributionSpec(n_observed=2),
-                      np.random.default_rng(4))
+    ds = mask_dataset(-np.ones((3, 4)), 2, np.random.default_rng(4))
     assert np.all(ds.values[ds.masks == 0.0] == 0.0)
 
 
 def test_csv_round_trip_with_ground_truth(tmp_path):
     rng = np.random.default_rng(11)
     complete = rng.normal(size=(6, 4))
-    ds = mask_dataset(complete, MaskDistributionSpec(n_observed=2), rng)
+    ds = mask_dataset(complete, 2, rng)
     path = tmp_path / "missing.csv"
     save_missing_csv(ds, path)
     back = load_missing_csv(path)
@@ -247,7 +253,7 @@ def test_csv_round_trip_with_ground_truth(tmp_path):
 
 def test_csv_round_trip_without_ground_truth(tmp_path):
     rng = np.random.default_rng(12)
-    ds = mask_dataset(rng.normal(size=(3, 5)), MaskDistributionSpec(n_observed=1), rng)
+    ds = mask_dataset(rng.normal(size=(3, 5)), 1, rng)
     path = tmp_path / "missing.csv"
     save_missing_csv(ds, path, include_ground_truth=False)
     back = load_missing_csv(path)
@@ -327,7 +333,7 @@ def test_csv_bytes_match_csv_writer(tmp_path, include_ground_truth):
     truth = rng.normal(size=(5, 6))
     truth[0, :4] = [-0.0, 1e-300, 1e300, -1e300]
     truth[1, :3] = [5e-324, 0.1, -2.5]
-    ds = mask_dataset(truth, MaskDistributionSpec(n_observed=3), rng)
+    ds = mask_dataset(truth, 3, rng)
     ds.masks[0] = [1, 1, 1, 1, 0, 0]
     ds.values[0] = np.where(ds.masks[0] == 1.0, truth[0], 0.0)
     ds = MissingDataset(ds.values, ds.masks, truth)
@@ -348,7 +354,7 @@ def test_substitute_batch_matches_rowwise():
     bits = (rng.random((7, 6)) < 0.5).astype(np.float64)
     values = values * bits
     y = rng.normal(size=(7, 6))
-    out = masks.substitute_batch(values, bits, y)
+    out = substitute_batch(values, bits, y)
     for i in range(7):
-        row = substitute(MissingState(values[i], bits[i]), y[i])
-        assert np.array_equal(out[i], row)
+        row = substitute_batch(values[i:i + 1], bits[i:i + 1], y[i:i + 1])
+        assert np.array_equal(out[i:i + 1], row)

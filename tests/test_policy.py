@@ -5,23 +5,19 @@ import pytest
 
 from measim import nn
 from measim.episodes import rollout_batch
-from measim.masks import MissingState
 from measim.policy import (
     PolicyModel,
     ReinforceConfig,
     StepBatch,
-    action_distribution,
     actor_gradient,
     advantages_for,
     build_policy,
     critic_update,
     explore_coefficient,
     flatten_explore,
-    greedy_action,
     load_policy,
     masked_softmax,
     reinforce_update,
-    sample_action,
     sample_actions,
     save_policy,
     unobserved_normalizer,
@@ -52,45 +48,60 @@ def naive_masked_softmax(scores, mask):
     return w / w.sum()
 
 
+def action_probs(model, masks, values=None):
+    """Dropout-free action distribution at a (B, D) block of states."""
+    values = np.zeros_like(masks) if values is None else values
+    scores, _ = nn.forward(model.actor, np.concatenate([values, masks], axis=1),
+                           mode="eval")
+    return masked_softmax(scores, masks)
+
+
+def greedy_actions(model, x_bar, horizon):
+    """(horizon, B) actions of a greedy rollout."""
+    roll = rollout_batch(model, x_bar, horizon, "greedy", np.random.default_rng(0))
+    return np.stack([s.actions for s in roll.steps])
+
+
 # ------------------------------------------------------------- distribution
 
 
 def test_single_unobserved_coordinate_is_forced():
     model = fixed_score_policy([0.3, -2.0, 4.0])
-    dist = action_distribution(model, MissingState(np.zeros(3), np.array([1.0, 1.0, 0.0])))
-    assert np.array_equal(dist, [0.0, 0.0, 1.0])
+    dist = action_probs(model, np.array([[1.0, 1.0, 0.0]]))
+    assert np.array_equal(dist, [[0.0, 0.0, 1.0]])
 
 
 def test_equal_scores_symmetric_split():
     model = fixed_score_policy([0.0, 0.0, 0.0])
-    dist = action_distribution(model, MissingState(np.zeros(3), np.array([1.0, 0.0, 0.0])))
-    assert np.allclose(dist, [0.0, 0.5, 0.5], atol=1e-15)
-    assert dist[0] == 0.0
+    dist = action_probs(model, np.array([[1.0, 0.0, 0.0]]))
+    assert np.allclose(dist, [[0.0, 0.5, 0.5]], atol=1e-15)
+    assert dist[0, 0] == 0.0
 
 
 def test_hand_softmax_ln2():
     model = fixed_score_policy([np.log(2.0), 0.0, 0.0])
-    dist = action_distribution(model, MissingState(np.zeros(3), np.zeros(3)))
-    assert np.allclose(dist, [0.5, 0.25, 0.25], atol=1e-15)
+    dist = action_probs(model, np.zeros((1, 3)))
+    assert np.allclose(dist, [[0.5, 0.25, 0.25]], atol=1e-15)
 
 
 def test_fully_observed_state_rejected():
     model = fixed_score_policy([0.0, 0.0])
     with pytest.raises(ValueError, match="no legal action"):
-        action_distribution(model, MissingState(np.ones(2), np.ones(2)))
-    with pytest.raises(ValueError, match="no legal action"):
-        greedy_action(model, MissingState(np.ones(2), np.ones(2)))
+        action_probs(model, np.ones((1, 2)), np.ones((1, 2)))
+    # nor can a rollout reach one: the horizon is capped at D
+    with pytest.raises(ValueError, match="horizon"):
+        greedy_actions(model, np.ones((1, 2)), 3)
 
 
 def test_masked_softmax_matches_naive_form():
     rng = np.random.default_rng(1)
     for _ in range(200):
         d = int(rng.integers(2, 12))
-        scores = rng.normal(scale=3.0, size=d)
-        mask = np.zeros(d)
+        scores = rng.normal(scale=3.0, size=(1, d))
+        mask = np.zeros((1, d))
         n_obs = int(rng.integers(0, d))
         if n_obs:
-            mask[rng.choice(d, size=n_obs, replace=False)] = 1.0
+            mask[0, rng.choice(d, size=n_obs, replace=False)] = 1.0
         got = masked_softmax(scores, mask)
         expect = naive_masked_softmax(scores, mask)
         assert np.allclose(got, expect, atol=1e-12)
@@ -99,8 +110,8 @@ def test_masked_softmax_matches_naive_form():
 
 
 def test_masked_softmax_extreme_scores_stable():
-    scores = np.array([1000.0, 999.0, -1000.0])
-    dist = masked_softmax(scores, np.zeros(3))
+    scores = np.array([[1000.0, 999.0, -1000.0]])
+    dist = masked_softmax(scores, np.zeros((1, 3)))[0]
     assert np.all(np.isfinite(dist))
     assert abs(dist.sum() - 1.0) <= 1e-12
     assert dist[0] > dist[1] > dist[2]
@@ -110,58 +121,57 @@ def test_masked_softmax_extreme_scores_stable():
 
 
 def test_flatten_identity_at_zero():
-    p = np.array([0.7, 0.0, 0.3])
-    m = np.array([0.0, 1.0, 0.0])
+    p = np.array([[0.7, 0.0, 0.3]])
+    m = np.array([[0.0, 1.0, 0.0]])
     assert np.array_equal(flatten_explore(p, m, 0.0), p)
 
 
 def test_flatten_half_gives_uniform():
-    p = np.array([0.9, 0.0, 0.05, 0.05])
-    m = np.array([0.0, 1.0, 0.0, 0.0])
+    p = np.array([[0.9, 0.0, 0.05, 0.05]])
+    m = np.array([[0.0, 1.0, 0.0, 0.0]])
     out = flatten_explore(p, m, 0.5)
-    assert np.allclose(out, [1 / 3, 0.0, 1 / 3, 1 / 3], atol=1e-15)
+    assert np.allclose(out, [[1 / 3, 0.0, 1 / 3, 1 / 3]], atol=1e-15)
 
 
 def test_flatten_hand_example():
-    p = np.array([0.5, 0.25, 0.25])
-    out = flatten_explore(p, np.zeros(3), 0.1)
-    assert np.allclose(out, [5 / 11, 3 / 11, 3 / 11], atol=1e-15)
+    p = np.array([[0.5, 0.25, 0.25]])
+    out = flatten_explore(p, np.zeros((1, 3)), 0.1)
+    assert np.allclose(out, [[5 / 11, 3 / 11, 3 / 11]], atol=1e-15)
 
 
 def test_flatten_range_validation():
-    p = np.array([1.0, 0.0])
+    p = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        flatten_explore(p, np.zeros(2), 0.6)
+        flatten_explore(p, np.zeros((1, 2)), 0.6)
     with pytest.raises(ValueError):
-        flatten_explore(p, np.zeros(2), -0.01)
+        flatten_explore(p, np.zeros((1, 2)), -0.01)
 
 
 def test_flatten_preserves_ranking_and_constraint():
     rng = np.random.default_rng(2)
     for _ in range(100):
         d = int(rng.integers(3, 10))
-        mask = np.zeros(d)
-        mask[rng.choice(d, size=int(rng.integers(0, d - 2)), replace=False)] = 1.0
-        scores = rng.normal(size=d)
-        p = masked_softmax(scores, mask)
+        mask = np.zeros((1, d))
+        mask[0, rng.choice(d, size=int(rng.integers(0, d - 2)), replace=False)] = 1.0
+        p = masked_softmax(rng.normal(size=(1, d)), mask)
         e = float(rng.uniform(0.01, 0.49))
         q = flatten_explore(p, mask, e)
         assert np.all(q[mask == 1.0] == 0.0)
         assert abs(q.sum() - 1.0) <= 1e-12
-        unobs = np.flatnonzero(mask == 0.0)
+        unobs = np.flatnonzero(mask[0] == 0.0)
         for i in unobs:
             for j in unobs:
-                if p[i] > p[j]:
-                    assert q[i] > q[j]
+                if p[0, i] > p[0, j]:
+                    assert q[0, i] > q[0, j]
 
 
 def test_normalizer_closed_form():
     rng = np.random.default_rng(3)
     for _ in range(50):
         d = int(rng.integers(2, 9))
-        mask = np.zeros(d)
-        mask[rng.choice(d, size=int(rng.integers(0, d - 1)), replace=False)] = 1.0
-        p = masked_softmax(rng.normal(size=d), mask)
+        mask = np.zeros((1, d))
+        mask[0, rng.choice(d, size=int(rng.integers(0, d - 1)), replace=False)] = 1.0
+        p = masked_softmax(rng.normal(size=(1, d)), mask)
         e = float(rng.uniform(0.0, 0.5))
         u = np.where(mask == 0.0, (1 - e) * p + e * (1 - p), 0.0)
         assert np.isclose(unobserved_normalizer(mask, e)[0], u.sum(), atol=1e-12)
@@ -171,28 +181,28 @@ def test_explore_coefficient_matches_score_derivative():
     # numeric check of d log pi_e(a) / d scores = coef * (onehot - pi)
     rng = np.random.default_rng(4)
     d = 5
-    mask = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-    scores = rng.normal(size=d)
+    mask = np.array([[0.0, 1.0, 0.0, 0.0, 0.0]])
+    scores = rng.normal(size=(1, d))
     e = 0.17
     action = 3
 
     def log_pe(s):
         p = masked_softmax(s, mask)
-        return np.log(flatten_explore(p, mask, e)[action])
+        return np.log(flatten_explore(p, mask, e)[0, action])
 
     h = 1e-6
-    fd = np.zeros(d)
+    fd = np.zeros((1, d))
     for j in range(d):
         sp, sm = scores.copy(), scores.copy()
-        sp[j] += h
-        sm[j] -= h
-        fd[j] = (log_pe(sp) - log_pe(sm)) / (2 * h)
+        sp[0, j] += h
+        sm[0, j] -= h
+        fd[0, j] = (log_pe(sp) - log_pe(sm)) / (2 * h)
 
     p = masked_softmax(scores, mask)
     pe = flatten_explore(p, mask, e)
     coef = explore_coefficient(p, pe, np.array([action]), mask, e)[0]
-    onehot = np.zeros(d)
-    onehot[action] = 1.0
+    onehot = np.zeros((1, d))
+    onehot[0, action] = 1.0
     assert np.allclose(fd, coef * (onehot - p), atol=1e-6)
     # e = 0 reduces to the plain log-softmax coefficient
     assert explore_coefficient(p, p, np.array([action]), mask, 0.0)[0] == 1.0
@@ -202,9 +212,9 @@ def test_explore_coefficient_matches_score_derivative():
 
 
 def test_sample_deterministic_distribution():
-    dist = np.array([0.0, 0.0, 1.0, 0.0])
+    dist = np.array([[0.0, 0.0, 1.0, 0.0]])
     rng = np.random.default_rng(5)
-    assert all(sample_action(dist, rng) == 2 for _ in range(20))
+    assert all(sample_actions(dist, rng)[0] == 2 for _ in range(20))
 
 
 def test_sample_uniform_frequencies():
@@ -233,20 +243,20 @@ def test_sample_never_hits_observed_million_draws():
 
 
 def test_greedy_hand_examples():
+    # from nothing observed: the top score, then the top one left unobserved
     model = fixed_score_policy([3.0, 1.0, 2.0])
-    assert greedy_action(model, MissingState(np.zeros(3), np.zeros(3))) == 0
-    assert greedy_action(model, MissingState(np.zeros(3), np.array([1.0, 0, 0]))) == 2
+    assert np.array_equal(greedy_actions(model, np.zeros((1, 3)), 2), [[0], [2]])
     tied = fixed_score_policy([1.0, 1.0])
-    assert greedy_action(tied, MissingState(np.zeros(2), np.zeros(2))) == 0
+    assert np.array_equal(greedy_actions(tied, np.zeros((1, 2)), 1), [[0]])
 
 
 def test_greedy_invariant_to_constant_shift():
     rng = np.random.default_rng(8)
     model = build_policy(6, actor_hidden=(8,), dropout=0.0, rng=rng)
-    state = MissingState(np.zeros(6), np.array([1.0, 0, 0, 1.0, 0, 0]))
-    before = greedy_action(model, state)
+    x_bar = rng.normal(size=(5, 6))
+    before = greedy_actions(model, x_bar, 4)
     model.actor.biases[-1] += 17.5
-    assert greedy_action(model, state) == before
+    assert np.array_equal(greedy_actions(model, x_bar, 4), before)
 
 
 # ------------------------------------------------------------------- critics
@@ -415,8 +425,8 @@ def test_bandit_convergence():
         step = make_step_batch(model, n=16, e=0.1, rng=rng)
         rewards = np.where(step.actions == 0, 1.0, -1.0)
         reinforce_update(model, [step], rewards, cfg)
-    dist = action_distribution(model, MissingState(np.zeros(2), np.zeros(2)))
-    assert dist[0] > 0.9
+    dist = action_probs(model, np.zeros((1, 2)))
+    assert dist[0, 0] > 0.9
 
 
 # ------------------------------------------------------------- serialization

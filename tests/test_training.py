@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from measim import rngs, training
-from measim.episodes import rollout_batch
+from measim.episodes import (
+    ExplicitSelector,
+    UniformSelector,
+    rollout_batch,
+    rollout_with_selector,
+)
 from measim.imputer import build_imputer, load_imputer, pretrain
 from measim.masks import MissingDataset, mask_dataset, mcar_spec
 from measim.nn import OptimizerState
@@ -16,8 +21,6 @@ from measim.training import (
     IterationStats,
     JointConfig,
     RunRecord,
-    baseline_explicit,
-    baseline_uninform,
     config_to_text,
     draw_batch,
     finetune_after,
@@ -496,13 +499,14 @@ def test_run_training_full_mode_skips_finetune():
 
 def test_uninform_full_horizon_covers_everything():
     data = np.zeros((5, D))
-    roll = baseline_uninform(data, D, np.random.default_rng(0))
+    roll = rollout_with_selector(UniformSelector(), data, D, np.random.default_rng(0))
     assert np.array_equal(roll.terminal_masks, np.ones((5, D)))
 
 
 def test_uninform_marginals_match_subset_sampling():
     b, t = 4000, 2
-    roll = baseline_uninform(np.zeros((b, D)), t, np.random.default_rng(1))
+    roll = rollout_with_selector(UniformSelector(), np.zeros((b, D)), t,
+                                 np.random.default_rng(1))
     freq = roll.terminal_masks.mean(axis=0)
     p = t / D
     bound = 3.0 * math.sqrt(p * (1 - p) / b)
@@ -513,7 +517,8 @@ def test_explicit_baseline_runs_and_respects_masks():
     rng = np.random.default_rng(2)
     imputer = build_imputer(D, "sinusoid", noise_dim=3, hidden=(8,), rng=rng)
     data = rng.normal(size=(6, D))
-    roll = baseline_explicit(imputer, data, 3, 4, np.random.default_rng(3))
+    roll = rollout_with_selector(ExplicitSelector(imputer, k=4), data, 3,
+                                 np.random.default_rng(3))
     assert roll.terminal_masks.sum() == 6 * 3
     obs = roll.terminal_masks == 1.0
     assert np.array_equal(roll.terminal_values[obs], roll.x_bar[obs])
