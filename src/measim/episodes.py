@@ -2,8 +2,9 @@
 
 An episode reveals one coordinate of a complete vector per step, starting
 from nothing, for a fixed horizon.  Batched rollouts advance every episode
-in lockstep so each step is a single network forward; train-mode steps keep
-their actor tapes so policy gradients can flow through the realized dropout.
+in lockstep so each step is a single network forward; train-mode steps of a
+rollout that takes a gradient keep their state and actor tape so policy
+gradients can flow through the realized dropout.
 """
 
 from __future__ import annotations
@@ -60,6 +61,35 @@ class Rollout:
         return len(self.steps)
 
 
+def _decide(
+    policy: PolicyModel,
+    state: np.ndarray,
+    mode: str,
+    rng: np.random.Generator,
+    explore_e: float,
+    keep: bool,
+) -> StepBatch:
+    """One lockstep step's actions on state, with its gradient inputs if keep.
+
+    Whatever is not kept is released when this returns, before the next
+    step's forward allocates its own.
+    """
+    masks = state[:, state.shape[1] // 2:]
+    scores, tape = nn.forward(policy.actor, state,
+                              mode="eval" if mode == "greedy" else "train", rng=rng)
+    if mode == "greedy":
+        actions = np.argmax(np.where(masks == 0.0, scores, -np.inf), axis=1)
+    else:
+        probs = masked_softmax(scores, masks)
+        exploring = mode == "explore"
+        sample_probs = flatten_explore(probs, masks, explore_e) if exploring else probs
+        actions = sample_actions(sample_probs, rng)
+        if keep:
+            return StepBatch(state, tape, probs, sample_probs, actions,
+                             explore_e=explore_e if exploring else 0.0)
+    return StepBatch(None, None, None, None, actions)
+
+
 def rollout_batch(
     policy: PolicyModel,
     x_bar: np.ndarray,
@@ -67,13 +97,19 @@ def rollout_batch(
     mode: str,
     rng: np.random.Generator,
     explore_e: float = 0.1,
+    grad: bool = True,
 ) -> Rollout:
     """Roll one episode per row of x_bar, all advancing together.
 
     explore: flattened distribution, dropout active.  stochastic: plain
     masked softmax, dropout active.  greedy: dropout-free masked argmax of
-    the scores (ties go to the lowest index); greedy steps keep only their
-    state and actions, as no gradient is taken through them.
+    the scores (ties go to the lowest index).
+
+    A step keeps its gradient inputs (state, tape, probs, sample_probs) only
+    in a train-mode rollout with grad=True.  Otherwise (greedy, or
+    grad=False) it keeps its actions alone, and one state array advances in
+    place.  The RNG draws are the same either way, so the actions and the
+    terminal state are too.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"mode must be one of {ROLLOUT_MODES}, got {mode!r}")
@@ -82,32 +118,19 @@ def rollout_batch(
     if not (1 <= horizon <= d):
         raise ValueError(f"horizon must lie in [1, {d}], got {horizon}")
 
-    # one (B, 2D) [values, masks] encoding per step: the actor input, the
-    # step record's state and the critic input are all this array
+    # the (B, 2D) [values, masks] encoding is the actor input and, where
+    # kept, the step record's state and the critic input
     state = np.zeros((b, 2 * d))
     out = Rollout(x_bar=x_bar)
     rows = np.arange(b)
-    fwd_mode = "eval" if mode == "greedy" else "train"
+    keep = grad and mode != "greedy"
     for _ in range(horizon):
-        masks = state[:, d:]
-        scores, tape = nn.forward(policy.actor, state, mode=fwd_mode, rng=rng)
-        if mode == "greedy":
-            tape = probs = sample_probs = None
-            actions = np.argmax(np.where(masks == 0.0, scores, -np.inf), axis=1)
-            e_used = 0.0
-        else:
-            probs = masked_softmax(scores, masks)
-            if mode == "explore":
-                sample_probs = flatten_explore(probs, masks, explore_e)
-                e_used = explore_e
-            else:
-                sample_probs = probs
-                e_used = 0.0
-            actions = sample_actions(sample_probs, rng)
-        out.steps.append(StepBatch(state, tape, probs, sample_probs, actions,
-                                   explore_e=e_used))
-        # recorded states are never written again; the next step gets its own
-        state = state.copy()
+        step = _decide(policy, state, mode, rng, explore_e, keep)
+        out.steps.append(step)
+        if keep:
+            # recorded states are never written again; the next step gets its own
+            state = state.copy()
+        actions = step.actions
         state[rows, actions] = x_bar[rows, actions]
         state[rows, d + actions] = 1.0
     out.terminal_values = state[:, :d]

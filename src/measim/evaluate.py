@@ -121,7 +121,8 @@ def eval_policy(
         rng_ep = rngs.substream(seed, rngs.EVAL, s, 0)
         rng_imp = rngs.substream(seed, rngs.EVAL, s, 1)
         if isinstance(subject, PolicyModel):
-            roll = rollout_batch(subject, truth, horizon, eval_mode, rng_ep)
+            roll = rollout_batch(subject, truth, horizon, eval_mode, rng_ep,
+                                 grad=False)
         else:
             roll = rollout_with_selector(subject, truth, horizon, rng_ep)
 

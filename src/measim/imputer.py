@@ -53,7 +53,6 @@ class ImputerLossConfig:
     self_mask_fraction: float = 0.5
     smoothness_weight: float = 0.0
     gaussian_kernel_sigma: float = 1.0
-    k_multiple: int = 5
 
     def __post_init__(self):
         if not (0.0 < self.self_mask_fraction < 1.0):
@@ -62,8 +61,6 @@ class ImputerLossConfig:
             raise ValueError("smoothness_weight must be >= 0")
         if self.gaussian_kernel_sigma <= 0.0:
             raise ValueError("gaussian_kernel_sigma must be > 0")
-        if self.k_multiple < 1:
-            raise ValueError("k_multiple must be >= 1")
 
 
 def build_imputer(
@@ -223,7 +220,7 @@ def loss_unsupervised(
         loss += cfg.smoothness_weight * float(sm_rows.mean())
         upstream = upstream + cfg.smoothness_weight * sm_grad / b
 
-    grads, _ = nn.backward(model.net, tape, upstream)
+    grads = nn.backward(model.net, tape, upstream)
     info["predictions"] = y
     info["hidden"] = hidden
     return loss, grads, info
@@ -264,7 +261,7 @@ def loss_supervised_batch(
     diff = (y - t) * w
     rows = (diff ** 2).sum(axis=1) / counts[scored]
     upstream = 2.0 * diff / counts[scored][:, None] / b
-    grads, _ = nn.backward(model.net, tape, upstream)
+    grads = nn.backward(model.net, tape, upstream)
     return float(rows.mean()), grads
 
 

@@ -229,12 +229,12 @@ def backward(
     net: DenseNet,
     tape: Tape,
     upstream: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> list[np.ndarray]:
     """Chain-rule the loss gradient wrt the output back to parameters.
 
-    Returns (grads in params() order, gradient wrt the input).  Gradients
-    sum over the batch dimension; callers scale the upstream gradient for
-    mean losses.
+    Returns the grads in params() order; the gradient wrt the network input
+    is not formed.  Gradients sum over the batch dimension; callers scale the
+    upstream gradient for mean losses.
     """
     if tape.version != net.version:
         raise StaleTapeError(
@@ -251,14 +251,13 @@ def backward(
     for i in range(net.n_layers - 1, -1, -1):
         grads[2 * i] = delta.T @ tape.inputs[i]
         grads[2 * i + 1] = delta.sum(axis=0)
-        dprev = delta @ net.weights[i]
         if i > 0:
+            dprev = delta @ net.weights[i]
             keep = tape.drop_masks[i - 1]
             if keep is not None:
                 dprev = dprev * keep / (1.0 - net.dropout_rates[i - 1])
             delta = dprev * _activation_grad(net._activation_for(i - 1), tape.acts[i - 1])
-    dinput = dprev[0] if tape.single else dprev
-    return grads, dinput
+    return grads
 
 
 @dataclass
@@ -329,7 +328,7 @@ def grad_check(net: DenseNet, x: np.ndarray, loss_fn, h: float = 1e-5) -> float:
         raise ValueError(f"net has {net.n_params()} parameters; grad_check is for < 1e5")
     out, tape = forward(net, x, mode="eval")
     _, upstream = loss_fn(out)
-    analytic, _ = backward(net, tape, upstream)
+    analytic = backward(net, tape, upstream)
 
     worst = 0.0
     for p, g in zip(net.params(), analytic):

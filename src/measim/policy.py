@@ -129,11 +129,15 @@ def sample_actions(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class StepBatch:
-    """One lockstep slice of a batched rollout, everything needed for grads."""
+    """One lockstep slice of a batched rollout, everything needed for grads.
 
-    state: np.ndarray           # (B, 2D) encoding [values, masks] before the action
-    tape: nn.Tape | None        # actor forward tape; None for greedy steps
-    probs: np.ndarray | None    # (B, D) plain masked softmax; None for greedy steps
+    Steps of a rollout that takes no gradient (greedy, or grad=False) keep
+    their actions alone; the other fields are None.
+    """
+
+    state: np.ndarray | None    # (B, 2D) encoding [values, masks] before the action
+    tape: nn.Tape | None        # actor forward tape
+    probs: np.ndarray | None    # (B, D) plain masked softmax
     sample_probs: np.ndarray | None  # (B, D) distribution that sampled the action
     actions: np.ndarray         # (B,) chosen coordinates
     explore_e: float = 0.0
@@ -207,7 +211,8 @@ def actor_gradient(
     grads = [np.zeros_like(p) for p in model.actor.params()]
     for t, (s, a) in enumerate(zip(steps, advantages)):
         if s.tape is None:
-            raise ValueError(f"step {t} has no actor tape; greedy steps take no gradient")
+            raise ValueError(f"step {t} has no actor tape; greedy and grad=False "
+                             "steps take no gradient")
         b = s.actions.shape[0]
         if a.shape != (b,):
             raise ValueError(f"advantage shape {a.shape} != batch {b}")
@@ -216,7 +221,7 @@ def actor_gradient(
         onehot = np.zeros_like(s.probs)
         onehot[np.arange(b), s.actions] = 1.0
         upstream = -(a * coef)[:, None] * (onehot - s.probs) / n_total
-        g, _ = nn.backward(model.actor, s.tape, upstream)
+        g = nn.backward(model.actor, s.tape, upstream)
         for acc, gi in zip(grads, g):
             acc += gi
     return grads
@@ -232,7 +237,7 @@ def critic_update(model: PolicyModel, steps: list[StepBatch], rewards: np.ndarra
         tape = critic_forward(model, s)
         diff = tape.output[:, 0] - rewards
         total += float((diff ** 2).sum())
-        g, _ = nn.backward(model.critic, tape, (2.0 * diff / n_total)[:, None])
+        g = nn.backward(model.critic, tape, (2.0 * diff / n_total)[:, None])
         for acc, gi in zip(grads, g):
             acc += gi
     model.critic.step(grads, model.critic_opt)

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
+import platform
 import typing
 from dataclasses import dataclass, field
 
@@ -61,6 +63,7 @@ ABLATIONS = ("full", "no_meta", "no_adaptation")
 
 RUN_CSV_SCHEMA = "# measim-run v1"
 RUN_CSV_HEADER = "iteration,reward_e1,reward_e2,critic_loss,imputer_unsup,imputer_sup"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -294,6 +297,33 @@ def load_run_csv(path) -> tuple[list[IterationStats], dict]:
     return stats, meta
 
 
+def environment_manifest() -> dict:
+    """The numeric environment a run's bytes depend on.
+
+    The same seed gives the same run.csv only under the same NumPy, BLAS and
+    BLAS thread count; this records them.  The BLAS entry needs
+    np.show_config(mode="dicts") (NumPy >= 1.25) and is null without it.
+    """
+    blas = None
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        blas = {key: deps["blas"].get(key) for key in ("name", "version")}
+    except (TypeError, KeyError):
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+    }
+
+
+def write_environment(path) -> None:
+    with open(path, "w") as f:
+        json.dump(environment_manifest(), f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # loop helpers
 
@@ -376,6 +406,7 @@ def joint_train(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_config(cfg, os.path.join(out_dir, "config.txt"))
+        write_environment(os.path.join(out_dir, "environment.json"))
 
     if imputer is None:
         imputer, _ = pretrain_imputer(cfg, dataset)
@@ -446,7 +477,7 @@ def joint_train(
         if adapt:
             # (6) episodes from the updated policy feed the real update
             roll3 = rollout_batch(policy, xbar, horizon, "stochastic",
-                                  rngs.substream(seed, rngs.EPISODE_3, i))
+                                  rngs.substream(seed, rngs.EPISODE_3, i), grad=False)
             # (7) the one mutation of the imputer this iteration
             imputer, losses = adapt_step(imputer, mv, mm,
                                          roll3.terminal_values, roll3.terminal_masks, xbar,
@@ -551,7 +582,7 @@ def finetune_after(
         mm = dataset.masks[idx]
         xbar = impute_batch(model, mv, mm, rngs.substream(seed, rngs.FINETUNE, i, 1))
         roll = rollout_batch(policy, xbar, horizon, "stochastic",
-                             rngs.substream(seed, rngs.FINETUNE, i, 2))
+                             rngs.substream(seed, rngs.FINETUNE, i, 2), grad=False)
         model, losses = adapt_step(model, mv, mm,
                                    roll.terminal_values, roll.terminal_masks, xbar,
                                    cfg.alpha, cfg.alpha_prime, loss_cfg,

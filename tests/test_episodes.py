@@ -110,12 +110,16 @@ def test_step_mask_cardinality_and_consistency():
 
 @pytest.mark.parametrize("mode", ["explore", "stochastic", "greedy"])
 def test_step_records_keep_their_own_state(mode):
-    # records share no memory with the state the rollout goes on to mutate
+    # records share no memory with the state the rollout goes on to mutate;
+    # greedy steps take no gradient and keep no state at all
     b, d, horizon = 6, 8, 5
     policy = make_policy(d)
     x_bar = np.random.default_rng(8).normal(size=(b, d))
     roll = rollout_batch(policy, x_bar, horizon, mode, np.random.default_rng(9))
     for t, s in enumerate(roll.steps):
+        if mode == "greedy":
+            assert s.state is None and s.actions.shape == (b,)
+            continue
         assert np.array_equal(s.masks.sum(axis=1), np.full(b, float(t)))
         assert np.array_equal(s.values, np.where(s.masks == 1.0, x_bar, 0.0))
         assert np.shares_memory(s.values, s.state) and np.shares_memory(s.masks, s.state)
@@ -159,29 +163,60 @@ def test_only_train_mode_steps_keep_tapes():
         roll = rollout_batch(policy, x_bar, 3, mode, np.random.default_rng(17))
         assert all(s.tape is not None for s in roll.steps)
         actor_gradient(policy, roll.steps, adv)
-    roll = rollout_batch(policy, x_bar, 3, "greedy", np.random.default_rng(17))
-    assert all(s.tape is None for s in roll.steps)
-    with pytest.raises(ValueError, match="step 0 has no actor tape"):
-        actor_gradient(policy, roll.steps, adv)
+    rolls = [rollout_batch(policy, x_bar, 3, "greedy", np.random.default_rng(17))]
+    rolls += [rollout_batch(policy, x_bar, 3, mode, np.random.default_rng(17), grad=False)
+              for mode in ("explore", "stochastic")]
+    for roll in rolls:
+        assert all(s.tape is None for s in roll.steps)
+        with pytest.raises(ValueError, match="step 0 has no actor tape"):
+            actor_gradient(policy, roll.steps, adv)
 
 
-def test_greedy_rollout_holds_states_and_actions_only():
-    # 20 step states + the terminal one = 21 states; keeping the (B, D) probs
-    # would add 10 more, a kept actor tape about 3 per step
+@pytest.mark.parametrize("mode", ["explore", "stochastic"])
+def test_grad_false_rollout_keeps_actions_only_and_same_bits(mode):
+    # the same draws run with or without the records, so every output bit
+    # and the generator's final state match
+    b, d, horizon = 7, 9, 6
+    policy = make_policy(d, seed=21)
+    x_bar = np.random.default_rng(22).normal(size=(b, d))
+    rng_full, rng_bare = np.random.default_rng(23), np.random.default_rng(23)
+    full = rollout_batch(policy, x_bar, horizon, mode, rng_full)
+    bare = rollout_batch(policy, x_bar, horizon, mode, rng_bare, grad=False)
+    assert bare.horizon == horizon
+    for f, s in zip(full.steps, bare.steps):
+        assert np.array_equal(f.actions, s.actions)
+        assert all(x is None for x in (s.state, s.tape, s.probs, s.sample_probs))
+    assert np.array_equal(full.terminal_values, bare.terminal_values)
+    assert np.array_equal(full.terminal_masks, bare.terminal_masks)
+    assert rng_full.bit_generator.state == rng_bare.bit_generator.state
+
+
+def held_states(mode, **kwargs):
+    """(B, 2D) states' worth of memory a B=720, D=100, 20-step rollout holds."""
     b, d, horizon = 720, 100, 20
     policy = build_policy(d, rng=np.random.default_rng(18))
     x_bar = np.random.default_rng(19).normal(size=(b, d))
-    one_state = b * 2 * d * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        roll = rollout_batch(policy, x_bar, horizon, "greedy", np.random.default_rng(20))
+        roll = rollout_batch(policy, x_bar, horizon, mode, np.random.default_rng(20),
+                             **kwargs)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert roll.horizon == horizon
-    assert all(s.probs is None and s.sample_probs is None for s in roll.steps)
-    assert held <= 22 * one_state, held / one_state
+    return held / (b * 2 * d * 8)
+
+
+def test_greedy_rollout_holds_actions_only():
+    # the terminal state plus 20 (B,) action arrays; a state per step would
+    # add 20 more, a kept actor tape about 3 per step
+    assert held_states("greedy") <= 2
+
+
+@pytest.mark.parametrize("mode", ["explore", "stochastic"])
+def test_grad_false_rollout_holds_actions_only(mode):
+    assert held_states(mode, grad=False) <= 2
 
 
 def test_greedy_rollout_deterministic():

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from measim.episodes import ExplicitSelector, UniformSelector
+from measim import evaluate
+from measim.episodes import ExplicitSelector, UniformSelector, horizon_for
 from measim.evaluate import (
+    EVAL_MODES,
     EvalReport,
     EvalRow,
     eval_policy,
@@ -123,6 +126,69 @@ def test_policy_greedy_evaluation_runs():
     report = eval_policy(policy, random_imputer(), truth_matrix(), 0.7, k=2, n_seeds=2)
     assert len(report.rows) == 2
     assert all(np.isfinite(r.top1_rmse) for r in report.rows)
+
+
+def capture_rollouts(monkeypatch, measure=False):
+    """Rollouts eval_policy makes, or with measure the memory each one holds."""
+    real = evaluate.rollout_batch
+    seen = []
+
+    def tracked(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        roll = real(*args, **kwargs)
+        seen.append(tracemalloc.get_traced_memory()[0] - before if measure else roll)
+        return roll
+
+    monkeypatch.setattr(evaluate, "rollout_batch", tracked)
+    return seen
+
+
+def test_stochastic_evaluation_is_deterministic_and_observes_truth(monkeypatch):
+    policy = build_policy(D, actor_hidden=(8,), critic_hidden=(4,),
+                          rng=np.random.default_rng(5))
+    truth = truth_matrix()
+    rolls = capture_rollouts(monkeypatch)
+
+    def run(seed):
+        report = eval_policy(policy, random_imputer(), truth, 0.7, k=3, n_seeds=2,
+                             seed=seed, eval_mode="stochastic")
+        return [(r.top1_rmse, r.top3_rmse) for r in report.rows]
+
+    first = run(4)
+    assert run(4) == first
+    assert run(5) != first
+    horizon = horizon_for(D, 0.7)
+    assert len(rolls) == 6
+    for roll in rolls:
+        observed = roll.terminal_masks == 1.0
+        assert np.array_equal(observed.sum(axis=1), np.full(len(truth), horizon))
+        expected = np.where(observed, truth, 0.0)
+        assert np.array_equal(roll.terminal_values.view(np.uint64), expected.view(np.uint64))
+        assert all(s.state is None and s.tape is None for s in roll.steps)
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+def test_evaluation_holds_no_step_states(monkeypatch, mode):
+    # a 20-step rollout at B=720, D=100 keeping a state per step would hold
+    # 21 (B, 2D) states (greedy), 95 with its tapes (stochastic); the
+    # terminal state and actions are about 1.1
+    b, d = 720, 100
+    policy = build_policy(d, rng=np.random.default_rng(6))
+    imputer = build_imputer(d, "sinusoid", rng=np.random.default_rng(7))
+    truth = np.random.default_rng(8).normal(size=(b, d))
+    one_state = b * 2 * d * 8
+    held = capture_rollouts(monkeypatch, measure=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eval_policy(policy, imputer, truth, 0.8, n_seeds=2, eval_mode=mode)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2
+    assert max(held) <= 3 * one_state, max(held) / one_state
+    # the k=3 imputation of the terminal states sets the peak now
+    assert peak <= 12 * one_state, peak / one_state
 
 
 def test_bad_eval_mode_rejected():

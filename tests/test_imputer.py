@@ -93,8 +93,6 @@ def test_loss_config_validation():
         ImputerLossConfig(smoothness_weight=-0.1)
     with pytest.raises(ValueError):
         ImputerLossConfig(gaussian_kernel_sigma=0.0)
-    with pytest.raises(ValueError):
-        ImputerLossConfig(k_multiple=0)
 
 
 # ---------------------------------------------------------------- sampling

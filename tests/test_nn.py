@@ -67,7 +67,7 @@ def test_backward_hand_example():
     net.biases[0][:] = 0.0
     out, tape = nn.forward(net, np.array([2.0]))
     _, upstream = half_square_loss(out)
-    grads, _ = nn.backward(net, tape, upstream)
+    grads = nn.backward(net, tape, upstream)
     assert grads[0][0, 0] == pytest.approx(4.0)
     assert grads[1][0] == pytest.approx(2.0)
 
@@ -76,9 +76,8 @@ def test_zero_upstream_zero_grads():
     rng = np.random.default_rng(5)
     net = nn.DenseNet([3, 5, 2], rng=rng)
     out, tape = nn.forward(net, rng.normal(size=3))
-    grads, dx = nn.backward(net, tape, np.zeros_like(out))
+    grads = nn.backward(net, tape, np.zeros_like(out))
     assert all(np.all(g == 0.0) for g in grads)
-    assert np.all(dx == 0.0)
 
 
 @pytest.mark.parametrize("hidden_act", ["tanh", "relu"])
@@ -90,28 +89,11 @@ def test_backward_matches_finite_differences(hidden_act, out_act):
     x = rng.normal(size=5)
     out, tape = nn.forward(net, x)
     _, upstream = half_square_loss(out)
-    analytic, _ = nn.backward(net, tape, upstream)
+    analytic = nn.backward(net, tape, upstream)
     numeric = fd_param_grads(net, x, half_square_loss)
     for a, n in zip(analytic, numeric):
         rel = np.abs(a - n) / np.maximum(1e-8, np.abs(a) + np.abs(n))
         assert rel.max() < 1e-4
-
-
-def test_backward_input_gradient_matches_fd():
-    rng = np.random.default_rng(13)
-    net = nn.DenseNet([4, 6, 2], rng=rng)
-    x = rng.normal(size=4)
-    out, tape = nn.forward(net, x)
-    _, upstream = half_square_loss(out)
-    _, dx = nn.backward(net, tape, upstream)
-    h = 1e-6
-    for j in range(4):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        lp, _ = half_square_loss(nn.forward(net, xp)[0])
-        lm, _ = half_square_loss(nn.forward(net, xm)[0])
-        assert dx[j] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-8)
 
 
 def test_stale_tape_detected():
@@ -141,11 +123,11 @@ def test_batched_backward_sums_rows():
     xs = rng.normal(size=(4, 3))
     up = rng.normal(size=(4, 2))
     out, tape = nn.forward(net, xs)
-    grads, _ = nn.backward(net, tape, up)
+    grads = nn.backward(net, tape, up)
     summed = [np.zeros_like(g) for g in grads]
     for i in range(4):
         _, t = nn.forward(net, xs[i])
-        gi, _ = nn.backward(net, t, up[i])
+        gi = nn.backward(net, t, up[i])
         for s, g in zip(summed, gi):
             s += g
     for a, b in zip(grads, summed):
@@ -208,9 +190,9 @@ def test_grad_check_catches_sign_flip(monkeypatch):
     real_backward = nn.backward
 
     def corrupted(net, tape, upstream):
-        grads, dx = real_backward(net, tape, upstream)
+        grads = real_backward(net, tape, upstream)
         grads[0] = -grads[0]
-        return grads, dx
+        return grads
 
     rng = np.random.default_rng(37)
     net = nn.DenseNet([3, 4, 2], rng=rng)
@@ -259,7 +241,7 @@ def test_determinism_same_seed_same_everything():
         net = nn.DenseNet([4, 8, 3], dropout_rates=[0.2], rng=rng)
         x = rng.normal(size=(6, 4))
         out, tape = nn.forward(net, x, mode="train", rng=np.random.default_rng(54))
-        grads, _ = nn.backward(net, tape, np.ones_like(out))
+        grads = nn.backward(net, tape, np.ones_like(out))
         net.step(grads, nn.OptimizerState("adam", lr=0.01))
         return out, net.params()
 
@@ -341,13 +323,13 @@ def reference_backward(net, tape, upstream):
     for i in range(net.n_layers - 1, -1, -1):
         grads[2 * i] = delta.T @ tape.inputs[i]
         grads[2 * i + 1] = delta.sum(axis=0)
-        dprev = delta @ net.weights[i]
         if i > 0:
+            dprev = delta @ net.weights[i]
             keep = tape.drop_masks[i - 1]
             if keep is not None:
                 dprev = dprev * keep / (1.0 - net.dropout_rates[i - 1])
             delta = dprev * grad_of[acts[i - 1]](zs[i - 1], tape.acts[i - 1])
-    return grads, dprev
+    return grads
 
 
 @pytest.mark.parametrize("hidden, output", [("relu", "identity"), ("relu", "sigmoid"),
@@ -362,8 +344,7 @@ def test_backward_from_post_activations_is_bit_identical(hidden, output, mode):
     x[0] = 0.0                      # relu units at exactly z == bias == 0
     out, tape = nn.forward(net, x, mode=mode, rng=np.random.default_rng(62))
     up = rng.normal(size=out.shape)
-    grads, dx = nn.backward(net, tape, up)
-    ref_grads, ref_dx = reference_backward(net, tape, up)
+    grads = nn.backward(net, tape, up)
+    ref_grads = reference_backward(net, tape, up)
     for g, r in zip(grads, ref_grads):
         assert np.array_equal(g, r)
-    assert np.array_equal(dx, ref_dx)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import weakref
@@ -23,6 +24,7 @@ from measim.training import (
     RunRecord,
     config_to_text,
     draw_batch,
+    environment_manifest,
     finetune_after,
     joint_train,
     load_config,
@@ -391,22 +393,32 @@ def test_early_stop_on_flat_rewards(monkeypatch):
 
 def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
     # E1 and E2 live until the actor step, E3 until the imputer update, and
-    # no rollout outlives its iteration
+    # no rollout outlives its iteration; only E1 and E2 take a gradient, so
+    # E3 and fine-tune steps keep no state and no tape
     alive = []
     held = []
+    kept = []
 
     def tracked(*args, **kwargs):
         held.append(sum(r() is not None for r in alive))
         roll = rollout_batch(*args, **kwargs)
         alive.append(weakref.ref(roll))
+        records = {(s.state is not None, s.tape is not None) for s in roll.steps}
+        assert len(records) == 1
+        kept.append(records.pop())
         return roll
 
     monkeypatch.setattr(training, "rollout_batch", tracked)
     ds = tiny_dataset()
     cfg = tiny_config(iterations=3)
-    joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    policy, imputer, _ = joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
     assert held == [0, 1, 0] * 3
     assert not any(r() is not None for r in alive)
+    assert kept == [(True, True), (True, True), (False, False)] * 3
+
+    kept.clear()
+    finetune_after(policy, imputer, dataclasses.replace(cfg, finetune_iterations=2), ds)
+    assert kept == [(False, False)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +432,8 @@ def test_run_directory_contents(tmp_path):
     out = tmp_path / "run"
     policy, imputer, record = joint_train(cfg, ds, imputer=pre, out_dir=out,
                                           trace_episodes=True)
-    for name in ("config.txt", "run.csv", "actor.ckpt", "critic.ckpt",
-                 "imputer.ckpt", "episodes.csv"):
+    for name in ("config.txt", "environment.json", "run.csv", "actor.ckpt",
+                 "critic.ckpt", "imputer.ckpt", "episodes.csv"):
         assert (out / name).exists(), name
     assert load_config(out / "config.txt") == cfg
     stats, meta = load_run_csv(out / "run.csv")
@@ -439,6 +451,27 @@ def test_repeated_runs_write_identical_run_csv(tmp_path):
     joint_train(cfg, ds, imputer=pre, out_dir=tmp_path / "b")
     assert (tmp_path / "a" / "run.csv").read_bytes() == (tmp_path / "b" / "run.csv").read_bytes()
     assert (tmp_path / "a" / "actor.ckpt").read_bytes() == (tmp_path / "b" / "actor.ckpt").read_bytes()
+
+
+def test_run_manifest_records_numeric_environment(tmp_path, monkeypatch):
+    # the manifest sits beside run.csv; rerun byte identity with it written
+    # is checked by test_repeated_runs_write_identical_run_csv and gate 12
+    ds = tiny_dataset()
+    cfg = tiny_config(iterations=2)
+    pre = pretrained_imputer(cfg, ds)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    joint_train(cfg, ds, imputer=pre, out_dir=tmp_path / "a")
+    with open(tmp_path / "a" / "environment.json") as f:
+        env = json.load(f)
+    assert env == environment_manifest()
+    assert env["numpy"] == np.__version__
+    assert env["threads"]["OMP_NUM_THREADS"] == "3"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS"}
+    if env["blas"] is not None:
+        assert set(env["blas"]) == {"name", "version"}
 
 
 # ---------------------------------------------------------------------------
