@@ -139,6 +139,8 @@ def eval_policy(
             wall_time=time.perf_counter() - start,
             trained_rate=trained_rate,
         ))
+        # this seed's rollout and draws must not share the next seed's peak
+        del roll, cands
     return report
 
 

@@ -108,19 +108,22 @@ def impute_batch(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
     k completions per row, shape (k, batch, d): the non-noise input is built
     once and shared, and each draw's noise block follows the previous one's
     on rng, so the result equals k successive k=None calls bit for bit.
+    Each draw is written straight into the one (k, batch, d) result array.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
-    enc = net_inputs(model, values, masks)
-    b, width = enc.shape
-    x = np.empty((b, width + model.noise_dim))
-    x[:, :width] = enc
-    draws = []
-    for _ in range(1 if k is None else k):
+    b, d = values.shape
+    if d != model.d:
+        raise ValueError(f"state has {d} coordinates, imputer expects {model.d}")
+    width = model.net.in_dim - model.noise_dim
+    x = np.empty((b, model.net.in_dim))
+    x[:, :width] = net_inputs(model, values, masks)
+    out = np.empty((1 if k is None else k, b, d))
+    for draw in out:
         x[:, width:] = rng.standard_normal((b, model.noise_dim))
-        y, _ = nn.forward(model.net, x, mode="eval")
-        draws.append(substitute_batch(values, masks, y))
-    return draws[0] if k is None else np.stack(draws)
+        # the draw's output alone outlives the forward; its tape is never read
+        draw[...] = substitute_batch(values, masks, nn.forward(model.net, x, mode="eval")[0])
+    return out[0] if k is None else out
 
 
 _SMOOTHER_CACHE: dict[tuple[int, float], np.ndarray] = {}

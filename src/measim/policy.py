@@ -88,7 +88,6 @@ def unobserved_normalizer(masks: np.ndarray, e: float) -> np.ndarray:
     Constant in the actor parameters, which is what makes the exploring
     log-probability gradient a simple rescaling of the plain one.
     """
-    masks = np.atleast_2d(masks)
     n_unobs = (masks == 0.0).sum(axis=1)
     return 1.0 - 2.0 * e + n_unobs * e
 
@@ -106,10 +105,10 @@ def explore_coefficient(
     c = (1-2e) pi_a / (Z pi_e(a)).  At e = 0 this is exactly 1.
     """
     if e == 0.0:
-        return np.ones(np.atleast_2d(probs).shape[0])
-    rows = np.arange(np.atleast_2d(probs).shape[0])
-    p_a = np.atleast_2d(probs)[rows, actions]
-    pe_a = np.atleast_2d(sample_probs)[rows, actions]
+        return np.ones(probs.shape[0])
+    rows = np.arange(probs.shape[0])
+    p_a = probs[rows, actions]
+    pe_a = sample_probs[rows, actions]
     z = unobserved_normalizer(masks, e)
     return (1.0 - 2.0 * e) * p_a / (z * pe_a)
 
@@ -121,7 +120,6 @@ def sample_actions(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     a zero-mass coordinate repeats the previous cumulative value, so it can
     never be that first index.
     """
-    probs = np.atleast_2d(probs)
     cum = np.cumsum(probs, axis=1)
     u = rng.random(probs.shape[0]) * cum[:, -1]
     return np.argmax(cum > u[:, None], axis=1)

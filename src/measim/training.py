@@ -21,8 +21,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
+import signal
+import traceback
 import typing
 from dataclasses import dataclass, field
 
@@ -361,6 +364,152 @@ def _apply_actor_terms(policy: PolicyModel, terms: list[tuple[float, list[np.nda
         policy.actor.version += 1
 
 
+class _E2Chain:
+    """The joint loop's E2 chain: roll the E2 set, then form its actor term.
+
+    Per iteration: start(policy, xbar, i), terminal_state() for the E2
+    rewards, reward(r2), then gradient().  The term reads the critic before
+    its update, so reward() forms it at once.  This runs the chain in the
+    training process; _E2Helper runs the same object in a helper process.
+    """
+
+    def __init__(self, policy: PolicyModel, horizon: int, seed: int, normalize: bool):
+        self.policy = policy
+        self._horizon, self._seed, self._normalize = horizon, seed, normalize
+        self._job: tuple[np.ndarray, int] | None = None
+        self._roll: Rollout | None = None
+        self._grad: list[np.ndarray] | None = None
+
+    def start(self, policy: PolicyModel, xbar: np.ndarray, i: int) -> None:
+        """Take iteration i's E2 set; policy is the one this chain rolls."""
+        self._job = (xbar, i)
+
+    def terminal_state(self) -> tuple[np.ndarray, np.ndarray]:
+        xbar, i = self._job
+        self._roll = rollout_batch(self.policy, xbar, self._horizon, "stochastic",
+                                   rngs.substream(self._seed, rngs.EPISODE_2, i))
+        return self._roll.terminal_values, self._roll.terminal_masks
+
+    def reward(self, rewards: np.ndarray) -> None:
+        adv = advantages_for(self.policy, self._roll.steps, rewards, self._normalize)
+        self._grad = actor_gradient(self.policy, self._roll.steps, adv)
+        # spent: release before the next rollout records its own
+        self._roll = None
+
+    def gradient(self) -> list[np.ndarray]:
+        grad, self._grad = self._grad, None
+        return grad
+
+    def close(self) -> None:
+        pass
+
+
+def _serve_e2(conn, main_end, chain: _E2Chain) -> None:
+    """Helper process body: the E2 chain of each joint iteration, on request.
+
+    Receives (actor params, critic params, xbar, i), loads the parameters
+    into its copy of the policy, rolls E2 and sends the terminal state; then
+    receives the E2 rewards and sends the actor gradient term.  An exception
+    is sent back to be raised in the main process; a closed pipe means the
+    main process is gone.  The main process stops it with SIGTERM.
+    """
+    main_end.close()
+    # an interrupt is the main process's to handle; it then stops this one
+    # with SIGTERM, whatever handler the main process had installed
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    policy = chain.policy
+    try:
+        while True:
+            actor_params, critic_params, xbar, i = conn.recv()
+            for net, params in ((policy.actor, actor_params), (policy.critic, critic_params)):
+                for p, src in zip(net.params(), params):
+                    p[...] = src
+                net.version += 1
+            chain.start(policy, xbar, i)
+            conn.send(("ok", chain.terminal_state()))
+            chain.reward(conn.recv())
+            conn.send(("ok", chain.gradient()))
+    except EOFError:
+        pass
+    except Exception as exc:
+        conn.send(("error", (exc, traceback.format_exc())))
+
+
+class _E2Helper:
+    """A forked process that runs the joint loop's E2 chain beside E1.
+
+    Forking gives it the loaded NumPy and BLAS, so it computes under the same
+    numeric environment as the main process and its bits are the same.
+    """
+
+    def __init__(self, chain: _E2Chain):
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(target=_serve_e2, name="measim-e2", daemon=True,
+                                 args=(child_end, self._conn, chain))
+        self._proc.start()
+        child_end.close()
+
+    def start(self, policy: PolicyModel, xbar: np.ndarray, i: int) -> None:
+        """Roll iteration i's E2 set under the policy's current parameters."""
+        self._send((policy.actor.params(), policy.critic.params(), xbar, i))
+
+    def terminal_state(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._recv()
+
+    def reward(self, rewards: np.ndarray) -> None:
+        self._send(rewards)
+
+    def gradient(self) -> list[np.ndarray]:
+        return self._recv()
+
+    def close(self) -> None:
+        self._proc.terminate()
+        self._proc.join()
+        self._conn.close()
+
+    def _send(self, message) -> None:
+        try:
+            self._conn.send(message)
+        except OSError:
+            raise self._exit_error() from None
+
+    def _recv(self):
+        try:
+            kind, payload = self._conn.recv()
+        except (EOFError, OSError):
+            raise self._exit_error() from None
+        if kind == "error":
+            exc, trace = payload
+            if hasattr(exc, "add_note"):
+                exc.add_note(f"raised in the E2 helper process:\n{trace}")
+            raise exc
+        return payload
+
+    def _exit_error(self) -> RuntimeError:
+        self._proc.join(5.0)
+        return RuntimeError(f"E2 helper process exited with code {self._proc.exitcode}")
+
+
+def _core_for_helper() -> bool:
+    """Whether a CPU core is left free for the E2 helper process.
+
+    It is when the environment pins the BLAS to one thread and this process
+    may run on two CPUs or more.  OpenBLAS reads OPENBLAS_NUM_THREADS and MKL
+    reads MKL_NUM_THREADS, each else OMP_NUM_THREADS; unset, they start one
+    thread per CPU.  Those threads already fill every core, and a second
+    process computing beside them slows both several times over (their
+    workers spin while they wait).
+    """
+    omp = os.environ.get("OMP_NUM_THREADS")
+    pinned = all(os.environ.get(var, omp) == "1"
+                 for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return pinned and cpus >= 2
+
+
 def pretrain_imputer(cfg: JointConfig, dataset: MissingDataset) -> tuple[ImputerModel, list[float]]:
     """Build and pretrain an imputer per the config, on the self-masking loss alone."""
     model = build_imputer(dataset.dim, cfg.variant, noise_dim=cfg.noise_dim,
@@ -393,6 +542,16 @@ def joint_train(
     phi_new, step the actor on both terms, then roll E3 under the updated
     policy and step the real imputer on its terminals.  phi_new is discarded
     every iteration.
+
+    With an E2 set (ablation "full" and at least one iteration) and a CPU
+    core the BLAS leaves free (it is pinned to one thread and two CPUs are
+    usable), a forked helper process runs the E2 chain, the rollout and its
+    actor-gradient term under the pre-update actor and critic, while this
+    process rolls and rewards E1, forms phi_new, rewards E2 and fits the
+    critic.  The helper computes under the same numeric environment, so
+    every output bit is the same as running the chain here, which is what
+    happens when no core is free.  It is started before the first iteration
+    and stopped on every exit, error and interrupt included.
     """
     n = len(dataset)
     if n == 0:
@@ -421,85 +580,98 @@ def joint_train(
                           rng=rngs.substream(seed, rngs.INIT_POLICY))
 
     record = RunRecord(config=cfg)
-    run_meta = cfg.ablation == "full"
     adapt = cfg.ablation != "no_adaptation"
     last_roll: Rollout | None = None
     last_rewards: np.ndarray | None = None
 
-    for i in range(cfg.iterations):
-        idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
-        mv = dataset.values[idx]
-        mm = dataset.masks[idx]
+    # the E2 set (ablation "full" only) reads nothing E1 produces except its
+    # reward model, so where a core is free its chain runs beside E1 in a
+    # helper process
+    e2 = None
+    if cfg.ablation == "full" and cfg.iterations > 0:
+        e2 = _E2Chain(policy, horizon, seed, cfg.normalize_advantages)
+        if _core_for_helper():
+            e2 = _E2Helper(e2)
+    try:
+        for i in range(cfg.iterations):
+            idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
+            mv = dataset.values[idx]
+            mm = dataset.masks[idx]
 
-        # (1) one generated complete vector per missing example
-        xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
+            # (1) one generated complete vector per missing example
+            xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
+            if e2 is not None:
+                e2.start(policy, xbar, i)
 
-        # (2) exploration episodes, rewarded by the current imputer
-        roll1 = rollout_batch(policy, xbar, horizon, "explore",
-                              rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
-        r1 = terminal_rewards_batch(imputer, roll1, reward_cfg,
-                                    rngs.substream(seed, rngs.REWARD_1, i))
-        _require_finite(r1, "reward", i)
+            # (2) exploration episodes, rewarded by the current imputer
+            roll1 = rollout_batch(policy, xbar, horizon, "explore",
+                                  rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
+            r1 = terminal_rewards_batch(imputer, roll1, reward_cfg,
+                                        rngs.substream(seed, rngs.REWARD_1, i))
+            _require_finite(r1, "reward", i)
 
-        roll2 = None
-        r2 = None
-        if run_meta:
-            # (3) hypothetical adaptation; the real imputer is untouched
-            phi_new, _ = adapt_step(imputer, mv, mm,
-                                    roll1.terminal_values, roll1.terminal_masks, xbar,
-                                    cfg.alpha, cfg.alpha_prime, loss_cfg,
-                                    rngs.substream(seed, rngs.ADAPT_META, i, 0),
-                                    rngs.substream(seed, rngs.ADAPT_META, i, 1))
-            # (4) unflattened episodes rewarded by the adapted imputer
-            roll2 = rollout_batch(policy, xbar, horizon, "stochastic",
-                                  rngs.substream(seed, rngs.EPISODE_2, i))
-            r2 = terminal_rewards_batch(phi_new, roll2, reward_cfg,
-                                        rngs.substream(seed, rngs.REWARD_2, i))
-            _require_finite(r2, "reward", i)
+            r2 = None
+            if e2 is not None:
+                # (3) hypothetical adaptation; the real imputer is untouched
+                phi_new, _ = adapt_step(imputer, mv, mm,
+                                        roll1.terminal_values, roll1.terminal_masks, xbar,
+                                        cfg.alpha, cfg.alpha_prime, loss_cfg,
+                                        rngs.substream(seed, rngs.ADAPT_META, i, 0),
+                                        rngs.substream(seed, rngs.ADAPT_META, i, 1))
+                # (4) unflattened episodes, rewarded by the adapted imputer
+                terminal_values, terminal_masks = e2.terminal_state()
+                roll2 = Rollout(x_bar=xbar, terminal_values=terminal_values,
+                                terminal_masks=terminal_masks)
+                r2 = terminal_rewards_batch(phi_new, roll2, reward_cfg,
+                                            rngs.substream(seed, rngs.REWARD_2, i))
+                _require_finite(r2, "reward", i)
+                e2.reward(r2)
 
-        # (5) two-term actor step; advantages use the critic before its update
-        adv1 = advantages_for(policy, roll1.steps, r1, cfg.normalize_advantages)
-        g1 = actor_gradient(policy, roll1.steps, adv1)
-        terms = [(cfg.beta, g1)]
-        if run_meta:
-            adv2 = advantages_for(policy, roll2.steps, r2, cfg.normalize_advantages)
-            terms.append((cfg.beta_prime, actor_gradient(policy, roll2.steps, adv2)))
-        critic_loss = critic_update(policy, roll1.steps, r1)
-        _require_finite(critic_loss, "loss", i)
-        _apply_actor_terms(policy, terms)
-        # E1/E2 steps, their tapes and critic memos are spent: release them
-        # before E3 records its own
-        if trace_episodes:
-            last_roll, last_rewards = roll1, r1
-        roll1 = roll2 = None
+            # (5) two-term actor step; advantages use the critic before its
+            # update, for the E2 term too
+            adv1 = advantages_for(policy, roll1.steps, r1, cfg.normalize_advantages)
+            terms = [(cfg.beta, actor_gradient(policy, roll1.steps, adv1))]
+            critic_loss = critic_update(policy, roll1.steps, r1)
+            _require_finite(critic_loss, "loss", i)
+            if e2 is not None:
+                terms.append((cfg.beta_prime, e2.gradient()))
+            _apply_actor_terms(policy, terms)
+            # E1's steps, tapes and critic memos are spent: release them before
+            # E3 records its own
+            if trace_episodes:
+                last_roll, last_rewards = roll1, r1
+            roll1 = None
 
-        unsup = sup = float("nan")
-        if adapt:
-            # (6) episodes from the updated policy feed the real update
-            roll3 = rollout_batch(policy, xbar, horizon, "stochastic",
-                                  rngs.substream(seed, rngs.EPISODE_3, i), grad=False)
-            # (7) the one mutation of the imputer this iteration
-            imputer, losses = adapt_step(imputer, mv, mm,
-                                         roll3.terminal_values, roll3.terminal_masks, xbar,
-                                         cfg.alpha, cfg.alpha_prime, loss_cfg,
-                                         rngs.substream(seed, rngs.ADAPT_REAL, i, 0),
-                                         rngs.substream(seed, rngs.ADAPT_REAL, i, 1))
-            unsup, sup = losses["unsupervised"], losses["supervised"]
-            _require_finite([unsup, sup], "loss", i)
-            roll3 = None
+            unsup = sup = float("nan")
+            if adapt:
+                # (6) episodes from the updated policy feed the real update
+                roll3 = rollout_batch(policy, xbar, horizon, "stochastic",
+                                      rngs.substream(seed, rngs.EPISODE_3, i), grad=False)
+                # (7) the one mutation of the imputer this iteration
+                imputer, losses = adapt_step(imputer, mv, mm,
+                                             roll3.terminal_values, roll3.terminal_masks,
+                                             xbar, cfg.alpha, cfg.alpha_prime, loss_cfg,
+                                             rngs.substream(seed, rngs.ADAPT_REAL, i, 0),
+                                             rngs.substream(seed, rngs.ADAPT_REAL, i, 1))
+                unsup, sup = losses["unsupervised"], losses["supervised"]
+                _require_finite([unsup, sup], "loss", i)
+                roll3 = None
 
-        record.stats.append(IterationStats(
-            iteration=i,
-            reward_e1=float(np.mean(r1)),
-            reward_e2=float(np.mean(r2)) if r2 is not None else float("nan"),
-            critic_loss=critic_loss,
-            imputer_unsup=unsup,
-            imputer_sup=sup,
-        ))
+            record.stats.append(IterationStats(
+                iteration=i,
+                reward_e1=float(np.mean(r1)),
+                reward_e2=float(np.mean(r2)) if r2 is not None else float("nan"),
+                critic_loss=critic_loss,
+                imputer_unsup=unsup,
+                imputer_sup=sup,
+            ))
 
-        if plateaued(record.rewards, cfg.early_stop_window, cfg.early_stop_tol):
-            record.stopped_early = True
-            break
+            if plateaued(record.rewards, cfg.early_stop_window, cfg.early_stop_tol):
+                record.stopped_early = True
+                break
+    finally:
+        if e2 is not None:
+            e2.close()
 
     record.checksums = {
         "actor": params_checksum(policy.actor),

@@ -191,6 +191,28 @@ def test_evaluation_holds_no_step_states(monkeypatch, mode):
     assert peak <= 12 * one_state, peak / one_state
 
 
+def test_evaluation_releases_each_seed_before_the_next():
+    # the previous seed's rollout and draws (about 1.5 (B, 2D) states at
+    # B=720, D=100, k=3) must be gone before the next seed's rollout runs
+    b, d = 720, 100
+    policy = build_policy(d, rng=np.random.default_rng(6))
+    imputer = build_imputer(d, "sinusoid", rng=np.random.default_rng(7))
+    truth = np.random.default_rng(8).normal(size=(b, d))
+    one_state = b * 2 * d * 8
+
+    def peak_of(n_seeds):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            eval_policy(policy, imputer, truth, 0.8, n_seeds=n_seeds)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak_of(1), peak_of(2)
+    assert two <= one + one_state, (one / one_state, two / one_state)
+
+
 def test_bad_eval_mode_rejected():
     with pytest.raises(ValueError, match="eval_mode"):
         eval_policy(UniformSelector(), random_imputer(), truth_matrix(), 0.5,

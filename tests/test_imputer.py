@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter1d
@@ -170,6 +172,35 @@ def test_impute_batch_k_draws_equal_sequential_calls(variant):
     assert shared_rng.random() == seq_rng.random()
     with pytest.raises(ValueError, match="k"):
         impute_batch(model, vals, masks, shared_rng, k=0)
+
+
+def test_impute_batch_rejects_wrong_width():
+    model = build_imputer(7, "sinusoid", noise_dim=3, hidden=(8,),
+                          rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="state has 6 coordinates, imputer expects 7"):
+        impute_batch(model, np.zeros((2, 6)), np.zeros((2, 6)), np.random.default_rng(1))
+
+
+def test_impute_batch_k_draws_hold_each_candidate_once():
+    # k=3 at B=720, D=100 (sinusoid): the input block, the (k, B, D) result
+    # and one draw's forward are about 6 (B, 2D) states; collecting the draws
+    # and stacking them, with the previous draw's eval tape still alive while
+    # the next forward ran, peaked at 7.8
+    b, d = 720, 100
+    model = build_imputer(d, "sinusoid", rng=np.random.default_rng(7))
+    rng = np.random.default_rng(3)
+    masks = (rng.random((b, d)) < 0.2).astype(np.float64)
+    vals = rng.normal(size=(b, d)) * masks
+    one_state = b * 2 * d * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        draws = impute_batch(model, vals, masks, np.random.default_rng(1), k=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (3, b, d)
+    assert peak <= 6.5 * one_state, peak / one_state
 
 
 # ------------------------------------------------------------ interpolation

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import weakref
 
@@ -10,14 +11,17 @@ import pytest
 from measim import rngs, training
 from measim.episodes import (
     ExplicitSelector,
+    RewardConfig,
     UniformSelector,
+    horizon_for,
     rollout_batch,
     rollout_with_selector,
+    terminal_rewards_batch,
 )
-from measim.imputer import build_imputer, load_imputer, pretrain
+from measim.imputer import adapt_step, build_imputer, impute_batch, load_imputer, pretrain
 from measim.masks import MissingDataset, mask_dataset, mcar_spec
 from measim.nn import OptimizerState
-from measim.policy import build_policy
+from measim.policy import actor_gradient, advantages_for, build_policy, critic_update
 from measim.training import (
     IterationStats,
     JointConfig,
@@ -391,10 +395,13 @@ def test_early_stop_on_flat_rewards(monkeypatch):
     assert len(record.stats) == 2 * cfg.early_stop_window
 
 
-def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
-    # E1 and E2 live until the actor step, E3 until the imputer update, and
-    # no rollout outlives its iteration; only E1 and E2 take a gradient, so
-    # E3 and fine-tune steps keep no state and no tape
+def e2_in_helper(monkeypatch, on: bool) -> None:
+    """Run the joint loop's E2 chain in the helper process, or in this one."""
+    monkeypatch.setattr(training, "_core_for_helper", lambda: on)
+
+
+def track_rollouts(monkeypatch):
+    """Record, per rollout_batch call, the rollouts still alive and what steps keep."""
     alive = []
     held = []
     kept = []
@@ -409,6 +416,16 @@ def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
         return roll
 
     monkeypatch.setattr(training, "rollout_batch", tracked)
+    return alive, held, kept
+
+
+def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
+    # with E2 in this process: E1 lives until the actor step, E2 until its
+    # actor term is formed, E3 until the imputer update, and no rollout
+    # outlives its iteration; only E1 and E2 take a gradient, so E3 and
+    # fine-tune steps keep no state and no tape
+    e2_in_helper(monkeypatch, False)
+    alive, held, kept = track_rollouts(monkeypatch)
     ds = tiny_dataset()
     cfg = tiny_config(iterations=3)
     policy, imputer, _ = joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
@@ -419,6 +436,197 @@ def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
     kept.clear()
     finetune_after(policy, imputer, dataclasses.replace(cfg, finetune_iterations=2), ds)
     assert kept == [(False, False)] * 2
+
+
+def test_joint_loop_holds_at_most_one_rollout(monkeypatch):
+    # the main process holds E1 until the actor step, then E3 until the imputer
+    # update, and no rollout outlives its iteration; E2 rolls in the helper
+    # process, out of sight here.  Only E1 takes a gradient in the main
+    # process, so E3 and fine-tune steps keep no state and no tape
+    e2_in_helper(monkeypatch, True)
+    alive, held, kept = track_rollouts(monkeypatch)
+    ds = tiny_dataset()
+    cfg = tiny_config(iterations=3)
+    policy, imputer, _ = joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert held == [0, 0] * 3
+    assert not any(r() is not None for r in alive)
+    assert kept == [(True, True), (False, False)] * 3
+
+    kept.clear()
+    finetune_after(policy, imputer, dataclasses.replace(cfg, finetune_iterations=2), ds)
+    assert kept == [(False, False)] * 2
+
+
+def serial_joint_train(cfg, ds, imputer):
+    """The full joint loop with E2 rolled in this process, in the loop's order."""
+    n, d = len(ds), ds.dim
+    horizon = horizon_for(d, cfg.missing_rate)
+    loss_cfg, reward_cfg, seed = cfg.loss_config(), RewardConfig(k=cfg.k_reward), cfg.seed
+    imputer = imputer.copy()
+    policy = build_policy(d, actor_hidden=cfg.actor_hidden, critic_hidden=cfg.critic_hidden,
+                          dropout=cfg.dropout, critic_lr=cfg.critic_lr,
+                          rng=rngs.substream(seed, rngs.INIT_POLICY))
+    record = RunRecord(config=cfg)
+    for i in range(cfg.iterations):
+        idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
+        mv, mm = ds.values[idx], ds.masks[idx]
+        xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
+        roll1 = rollout_batch(policy, xbar, horizon, "explore",
+                              rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
+        r1 = terminal_rewards_batch(imputer, roll1, reward_cfg,
+                                    rngs.substream(seed, rngs.REWARD_1, i))
+        phi_new, _ = adapt_step(imputer, mv, mm, roll1.terminal_values, roll1.terminal_masks,
+                                xbar, cfg.alpha, cfg.alpha_prime, loss_cfg,
+                                rngs.substream(seed, rngs.ADAPT_META, i, 0),
+                                rngs.substream(seed, rngs.ADAPT_META, i, 1))
+        roll2 = rollout_batch(policy, xbar, horizon, "stochastic",
+                              rngs.substream(seed, rngs.EPISODE_2, i))
+        r2 = terminal_rewards_batch(phi_new, roll2, reward_cfg,
+                                    rngs.substream(seed, rngs.REWARD_2, i))
+        adv1 = advantages_for(policy, roll1.steps, r1, cfg.normalize_advantages)
+        g1 = actor_gradient(policy, roll1.steps, adv1)
+        adv2 = advantages_for(policy, roll2.steps, r2, cfg.normalize_advantages)
+        g2 = actor_gradient(policy, roll2.steps, adv2)
+        critic_loss = critic_update(policy, roll1.steps, r1)
+        for p, a, b in zip(policy.actor.params(), g1, g2):
+            p -= cfg.beta * a
+            p -= cfg.beta_prime * b
+        policy.actor.version += 1
+        roll3 = rollout_batch(policy, xbar, horizon, "stochastic",
+                              rngs.substream(seed, rngs.EPISODE_3, i), grad=False)
+        imputer, losses = adapt_step(imputer, mv, mm, roll3.terminal_values,
+                                     roll3.terminal_masks, xbar, cfg.alpha, cfg.alpha_prime,
+                                     loss_cfg, rngs.substream(seed, rngs.ADAPT_REAL, i, 0),
+                                     rngs.substream(seed, rngs.ADAPT_REAL, i, 1))
+        record.stats.append(IterationStats(i, float(np.mean(r1)), float(np.mean(r2)),
+                                           critic_loss, losses["unsupervised"],
+                                           losses["supervised"]))
+    record.checksums = {"actor": params_checksum(policy.actor),
+                        "critic": params_checksum(policy.critic),
+                        "imputer": params_checksum(imputer.net)}
+    return record
+
+
+def check_against_serial_reference(variant):
+    ds = tiny_dataset()
+    if variant == "image":
+        ds = MissingDataset(1.0 / (1.0 + np.exp(-ds.values)) * ds.masks, ds.masks)
+    cfg = tiny_config(variant=variant, smoothness_weight=0.0 if variant == "image" else 0.05)
+    pre = pretrained_imputer(cfg, ds)
+    _, _, record = joint_train(cfg, ds, imputer=pre)
+    assert multiprocessing.active_children() == []
+    reference = serial_joint_train(cfg, ds, pre)
+    assert record.stats == reference.stats
+    assert record.checksums == reference.checksums
+    assert all(np.isfinite(s.reward_e2) for s in record.stats)
+
+
+@pytest.mark.parametrize("variant", ["sinusoid", "image"])
+def test_helper_loop_matches_serial_reference(monkeypatch, variant):
+    e2_in_helper(monkeypatch, True)
+    started = []
+    real = training._E2Helper
+    monkeypatch.setattr(training, "_E2Helper", lambda chain: started.append(1) or real(chain))
+    check_against_serial_reference(variant)
+    assert started == [1]
+
+
+@pytest.mark.parametrize("variant", ["sinusoid", "image"])
+def test_e2_in_process_matches_serial_reference(monkeypatch, variant):
+    def refuse(*args, **kwargs):
+        raise AssertionError("helper process started")
+
+    e2_in_helper(monkeypatch, False)
+    monkeypatch.setattr(training, "_E2Helper", refuse)
+    check_against_serial_reference(variant)
+
+
+@pytest.mark.parametrize("env, cpus, expected", [
+    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, True),
+    ({"OMP_NUM_THREADS": "1"}, 4, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 1, False),
+    ({}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, False),
+    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, 2, False),
+])
+def test_helper_only_where_the_blas_leaves_a_core(monkeypatch, env, cpus, expected):
+    # unpinned, the BLAS starts a thread per CPU and a helper computing beside
+    # it would slow the loop several times over
+    for var in training.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert training._core_for_helper() is expected
+
+
+def test_helper_error_reaches_caller_and_leaves_no_process(monkeypatch):
+    e2_in_helper(monkeypatch, True)
+    def failing(*args, **kwargs):
+        mode = args[3] if len(args) > 3 else kwargs["mode"]
+        if mode == "stochastic" and kwargs.get("grad", True):
+            raise ValueError("E2 rollout failed on purpose")
+        return rollout_batch(*args, **kwargs)
+
+    monkeypatch.setattr(training, "rollout_batch", failing)
+    ds = tiny_dataset()
+    cfg = tiny_config(iterations=2)
+    with pytest.raises(ValueError) as caught:
+        joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "E2 rollout failed on purpose"
+    assert multiprocessing.active_children() == []
+
+
+def test_helper_exit_is_reported_with_its_code(monkeypatch):
+    e2_in_helper(monkeypatch, True)
+    def exiting(*args, **kwargs):
+        if kwargs.get("grad", True) and args[3] == "stochastic":
+            os._exit(3)
+        return rollout_batch(*args, **kwargs)
+
+    monkeypatch.setattr(training, "rollout_batch", exiting)
+    ds = tiny_dataset()
+    cfg = tiny_config(iterations=2)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_leaves_no_process(monkeypatch):
+    e2_in_helper(monkeypatch, True)
+    real = training.terminal_rewards_batch
+    calls = {"n": 0}
+
+    def interrupted(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 3:   # the second iteration's E1 reward, with E2 under way
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "terminal_rewards_batch", interrupted)
+    ds = tiny_dataset()
+    cfg = tiny_config(iterations=3)
+    with pytest.raises(KeyboardInterrupt):
+        joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(ablation="no_meta", beta_prime=0.0),
+    dict(ablation="no_adaptation", beta_prime=0.0),
+    dict(iterations=0),
+])
+def test_no_helper_without_an_e2_set(monkeypatch, overrides):
+    def refuse(*args, **kwargs):
+        raise AssertionError("helper process started")
+
+    e2_in_helper(monkeypatch, True)
+    monkeypatch.setattr(training, "_E2Helper", refuse)
+    ds = tiny_dataset()
+    cfg = tiny_config(**overrides)
+    joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
 
 
 # ---------------------------------------------------------------------------
