@@ -30,6 +30,7 @@ from .training import (
 
 DATASETS = ("sin-single", "sin-double", "mnist12")
 ABLATION_FLAGS = ("full", "no-meta", "no-adaptation")
+METHODS = ("proposed", "uninform", "explicit")
 
 GRAD_CHECK_THRESHOLD = 1e-4
 
@@ -41,6 +42,53 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
+
+
+def _rate(text: str) -> float:
+    """argparse type: a missing rate in [0, 1)."""
+    try:
+        r = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= r < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return r
+
+
+def _rates(text: str) -> list[float]:
+    """argparse type: a nonempty comma-separated list of missing rates."""
+    rates = [_rate(r) for r in text.split(",") if r.strip()]
+    if not rates:
+        raise argparse.ArgumentTypeError("no rates given")
+    return rates
+
+
+def _methods(text: str) -> list[str]:
+    """argparse type: a nonempty comma-separated list drawn from METHODS."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    for m in methods:
+        if m not in METHODS:
+            raise argparse.ArgumentTypeError(f"unknown method {m!r}; choose from {METHODS}")
+    if not methods:
+        raise argparse.ArgumentTypeError("no methods given")
+    return methods
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return n
+
+
+def check_explicit_k(methods, k: int) -> None:
+    """The variance baseline needs two draws to form a variance."""
+    if "explicit" in methods and k < 2:
+        raise CliError(f"--explicit-k must be >= 2 for the explicit baseline, got {k}")
 
 
 def preset_config(dataset: str) -> JointConfig:
@@ -207,6 +255,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    check_explicit_k(args.methods, args.explicit_k)
     paths = require_run_files(args.run)
     cfg = load_config(paths["config"])
     policy = load_policy(paths["actor"], paths["critic"])
@@ -214,21 +263,14 @@ def cmd_sweep(args) -> int:
     ds = load_dataset_csv(args.data)
     if ds.ground_truth is None:
         raise CliError(f"test data has no ground-truth columns: {args.data}")
-    try:
-        rates = [float(r) for r in args.rates.split(",") if r]
-    except ValueError as e:
-        raise CliError(f"bad --rates: {e}") from e
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     subjects = {
-        "proposed": policy,
-        "uninform": UniformSelector(),
-        "explicit": ExplicitSelector(imputer, k=args.explicit_k),
+        "proposed": lambda: policy,
+        "uninform": UniformSelector,
+        "explicit": lambda: ExplicitSelector(imputer, k=args.explicit_k),
     }
     report = EvalReport()
-    for m in methods:
-        if m not in subjects:
-            raise CliError(f"unknown method {m!r}; choose from {sorted(subjects)}")
-        report.extend(sweep_missing_rates(subjects[m], imputer, ds, rates,
+    for m in args.methods:
+        report.extend(sweep_missing_rates(subjects[m](), imputer, ds, args.rates,
                                           k=args.k, n_seeds=args.n_seeds,
                                           seed=args.seed, method=m,
                                           trained_rate=cfg.missing_rate))
@@ -242,6 +284,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    check_explicit_k([args.method], args.explicit_k)
     if not os.path.exists(args.imputer):
         raise CliError(f"missing checkpoint: {args.imputer}")
     imputer = load_imputer(args.imputer)
@@ -304,15 +347,15 @@ def _add_config_flags(p, with_ablation=False):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--dataset", choices=DATASETS,
                    help="dataset preset when no --config is given")
-    p.add_argument("--missing-rate", type=float, default=None)
+    p.add_argument("--missing-rate", type=_rate, default=None)
     p.add_argument("--seed", type=int, default=None)
     if with_ablation:
         p.add_argument("--ablation", choices=ABLATION_FLAGS, default=None)
 
 
 def _add_eval_flags(p):
-    p.add_argument("--k", type=int, default=3, help="imputation draws per example")
-    p.add_argument("--n-seeds", type=int, default=3)
+    p.add_argument("--k", type=_positive_int, default=3, help="imputation draws per example")
+    p.add_argument("--n-seeds", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--explicit-k", type=int, default=5,
                    help="draws per step for the variance baseline")
@@ -324,7 +367,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="generate a masked dataset directory")
     p.add_argument("--dataset", choices=DATASETS, required=True)
-    p.add_argument("--missing-rate", type=float, default=0.9)
+    p.add_argument("--missing-rate", type=_rate, default=0.9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--n-train", type=int, default=None)
@@ -350,7 +393,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a trained run on true data")
     p.add_argument("--run", required=True, help="run directory from train-joint")
     p.add_argument("--data", required=True, help="test.csv with ground truth")
-    p.add_argument("--missing-rate", type=float, default=None)
+    p.add_argument("--missing-rate", type=_rate, default=None)
     p.add_argument("--mode", choices=("greedy", "stochastic"), default="greedy")
     p.add_argument("--out", default=None)
     _add_eval_flags(p)
@@ -359,8 +402,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="cross-missing-rate comparison table")
     p.add_argument("--run", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--rates", default="0.75,0.8,0.85,0.9,0.95")
-    p.add_argument("--methods", default="proposed,uninform,explicit")
+    p.add_argument("--rates", type=_rates, default="0.75,0.8,0.85,0.9,0.95")
+    p.add_argument("--methods", type=_methods, default=",".join(METHODS))
     p.add_argument("--out", default=None)
     _add_eval_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -369,7 +412,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("uninform", "explicit"), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--imputer", required=True)
-    p.add_argument("--missing-rate", type=float, default=0.9)
+    p.add_argument("--missing-rate", type=_rate, default=0.9)
     p.add_argument("--out", default=None)
     _add_eval_flags(p)
     p.set_defaults(func=cmd_baseline)

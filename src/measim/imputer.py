@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .masks import round_half_up, substitute_batch
+from .masks import substitute_batch
 
 VARIANTS = ("image", "sinusoid")
 
@@ -80,15 +80,28 @@ def build_imputer(
 def interpolate_batch(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Piecewise-linear fill of each row from its observed coordinates.
 
-    np.interp holds the outermost observed values over the tails; a row with
-    nothing observed stays zero.
+    Bitwise equal to np.interp run row by row: the tails hold the outermost
+    observed value and a row with nothing observed stays zero.  One np.interp
+    call covers the whole block, on the flat positions r*d + i: between two
+    observed points of a row, x - x_lo and x_hi - x_lo are the same exact
+    integers as in the row's own call, so every float operation matches.
+    Only the tails, where the flat call bridges to a neighbouring row, are
+    then overwritten.
     """
-    grid = np.arange(values.shape[1], dtype=np.float64)
-    out = np.zeros_like(values)
-    for i in range(values.shape[0]):
-        obs = np.flatnonzero(masks[i] == 1.0)
-        if obs.size:
-            out[i] = np.interp(grid, grid[obs], values[i, obs])
+    b, d = values.shape
+    obs = masks == 1.0
+    knots = np.flatnonzero(obs)
+    if knots.size == 0:
+        return np.zeros_like(values)
+    out = np.interp(np.arange(b * d, dtype=np.float64), knots.astype(np.float64),
+                    values.ravel()[knots]).reshape(b, d)
+    rows, grid = np.arange(b), np.arange(d)
+    first = obs.argmax(axis=1)
+    last = d - 1 - obs[:, ::-1].argmax(axis=1)
+    np.copyto(out, values[rows, first][:, None], where=grid < first[:, None])
+    np.copyto(out, values[rows, last][:, None], where=grid > last[:, None])
+    # argmax of a row with nothing observed is 0, an unobserved coordinate
+    out[~obs[rows, first]] = 0.0
     return out
 
 
@@ -105,24 +118,25 @@ def impute_batch(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
     """Completions of a (batch, d) state block, noise drawn as (batch, Z) blocks.
 
     k=None gives one completion per row, shape (batch, d).  An integer k gives
-    k completions per row, shape (k, batch, d): the non-noise input is built
-    once and shared, and each draw's noise block follows the previous one's
-    on rng, so the result equals k successive k=None calls bit for bit.
-    Each draw is written straight into the one (k, batch, d) result array.
+    k completions per row, shape (k, batch, d).  The first layer splits into a
+    state term, net_inputs @ W0[:, :width].T + b0, formed once per call, and a
+    noise term each draw adds to it before the remaining layers run.  Each
+    draw's noise block follows the previous one's on rng and k=None takes the
+    same path, so the result equals k successive k=None calls bit for bit.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     b, d = values.shape
     if d != model.d:
         raise ValueError(f"state has {d} coordinates, imputer expects {model.d}")
-    width = model.net.in_dim - model.noise_dim
-    x = np.empty((b, model.net.in_dim))
-    x[:, :width] = net_inputs(model, values, masks)
+    net = model.net
+    width = net.in_dim - model.noise_dim
+    state_term = net_inputs(model, values, masks) @ net.weights[0][:, :width].T + net.biases[0]
+    noise_w = net.weights[0][:, width:].T
     out = np.empty((1 if k is None else k, b, d))
     for draw in out:
-        x[:, width:] = rng.standard_normal((b, model.noise_dim))
-        # the draw's output alone outlives the forward; its tape is never read
-        draw[...] = substitute_batch(values, masks, nn.forward(model.net, x, mode="eval")[0])
+        z0 = state_term + rng.standard_normal((b, model.noise_dim)) @ noise_w
+        draw[...] = substitute_batch(values, masks, nn.forward_from(net, z0))
     return out[0] if k is None else out
 
 
@@ -171,6 +185,23 @@ def smoothness_penalty(y: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndar
     return per_row, grad
 
 
+def self_mask(masks: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """Hide round_half_up(fraction * n_observed) observed coordinates per row.
+
+    One rng.random((batch, d)) draw keys every coordinate; a row hides its
+    observed coordinates with the smallest keys, so each row's hidden set is
+    a uniform subset of its observed ones of that size.
+    """
+    obs = masks == 1.0
+    n_hide = np.floor(fraction * obs.sum(axis=1) + 0.5).astype(int)  # round_half_up
+    keys = np.where(obs, rng.random(masks.shape), np.inf)
+    # observed coordinates rank first, in key order; the unobserved never reach n_hide
+    order = np.argsort(keys, axis=1)
+    hidden = np.zeros(masks.shape)
+    np.put_along_axis(hidden, order, np.arange(masks.shape[1]) < n_hide[:, None], axis=1)
+    return hidden
+
+
 def loss_unsupervised(
     model: ImputerModel,
     values: np.ndarray,
@@ -191,19 +222,13 @@ def loss_unsupervised(
     n_obs = masks.sum(axis=1).astype(int)
     kept = np.flatnonzero(n_obs >= 2)
     info = {"skipped": int(values.shape[0] - kept.size)}
-    zero_grads = [np.zeros_like(p) for p in model.net.params()]
     if kept.size == 0:
-        return 0.0, zero_grads, info
+        return 0.0, [np.zeros_like(p) for p in model.net.params()], info
 
     v = values[kept]
     m = masks[kept]
     b = kept.size
-    hidden = np.zeros_like(m)
-    for i in range(b):
-        obs_idx = np.flatnonzero(m[i] == 1.0)
-        n_hide = round_half_up(cfg.self_mask_fraction * obs_idx.size)
-        if n_hide > 0:
-            hidden[i, rng.choice(obs_idx, size=n_hide, replace=False)] = 1.0
+    hidden = self_mask(m, cfg.self_mask_fraction, rng)
 
     reduced_mask = m - hidden
     reduced_values = v * reduced_mask
@@ -250,9 +275,8 @@ def loss_supervised_batch(
     unobs = 1.0 - masks
     counts = unobs.sum(axis=1)
     scored = np.flatnonzero(counts > 0)
-    zero_grads = [np.zeros_like(p) for p in model.net.params()]
     if scored.size == 0:
-        return 0.0, zero_grads
+        return 0.0, [np.zeros_like(p) for p in model.net.params()]
 
     v, m, t = values[scored], masks[scored], xbar[scored]
     b = scored.size

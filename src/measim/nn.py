@@ -55,9 +55,8 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
 
 def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
     # derivative from the post-activation a alone; for relu, a > 0 exactly
-    # where z > 0, since a = max(z, 0)
-    if name == "identity":
-        return np.ones_like(a)
+    # where z > 0, since a = max(z, 0).  An identity output needs none:
+    # backward passes its upstream gradient straight through.
     if name == "tanh":
         return 1.0 - a * a
     if name == "relu":
@@ -225,6 +224,19 @@ def forward(
     return out, tape
 
 
+def forward_from(net: DenseNet, z0: np.ndarray) -> np.ndarray:
+    """Eval-mode output from the first layer's pre-activation, with no tape.
+
+    For a caller that forms z0 = x @ W0.T + b0 itself, e.g. to share the
+    product of a fixed part of x across several forwards.  No dropout, as in
+    eval mode; each later layer is computed exactly as in `forward`.
+    """
+    a = _activate(net._activation_for(0), z0)
+    for i in range(1, net.n_layers):
+        a = _activate(net._activation_for(i), a @ net.weights[i].T + net.biases[i])
+    return a
+
+
 def backward(
     net: DenseNet,
     tape: Tape,
@@ -247,7 +259,9 @@ def backward(
         raise ValueError(f"upstream gradient shape {up.shape} != output shape {tape.output.shape}")
 
     grads: list[np.ndarray] = [None] * (2 * net.n_layers)
-    delta = up * _activation_grad(net._activation_for(net.n_layers - 1), tape.acts[-1])
+    out_act = net._activation_for(net.n_layers - 1)
+    # an identity output's derivative is 1: the upstream gradient is the delta
+    delta = up if out_act == "identity" else up * _activation_grad(out_act, tape.acts[-1])
     for i in range(net.n_layers - 1, -1, -1):
         grads[2 * i] = delta.T @ tape.inputs[i]
         grads[2 * i + 1] = delta.sum(axis=0)
@@ -307,14 +321,24 @@ def optimizer_step(
         raise ValueError("optimizer moment shapes do not match parameters")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps) with m, v updated first:
+        # the same operations in the same order, in two scratch arrays
+        step = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += step
+        np.divide(m, c1, out=step)
+        step *= state.lr
+        den = np.divide(v, c2)
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        p -= step
     return params, state
 
 

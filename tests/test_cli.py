@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from measim import cli
 from measim.cli import main, preset_config
 from measim.data import gen_stroke_digits, write_idx_images
 from measim.masks import load_missing_csv
@@ -258,6 +259,63 @@ def test_sweep_rejects_unknown_method(run_dir, data_dir, capsys):
                  "--methods", "oracle", "--rates", "0.5"])
     assert code == 1
     assert "oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("eval", ["--k", "0"], "--k"),
+    ("eval", ["--n-seeds", "0"], "--n-seeds"),
+    ("eval", ["--missing-rate", "1.0"], "--missing-rate"),
+    ("eval", ["--missing-rate", "-0.1"], "--missing-rate"),
+    ("sweep", ["--rates", "0.5,1.0"], "--rates"),
+    ("sweep", ["--rates", "-0.2"], "--rates"),
+    ("sweep", ["--rates", "0.5,x"], "--rates"),
+    ("sweep", ["--k", "0"], "--k"),
+    ("sweep", ["--explicit-k", "1"], "--explicit-k"),
+    ("sweep", ["--methods", "proposed,bogus"], "bogus"),
+    ("baseline", ["--method", "explicit", "--explicit-k", "1"], "--explicit-k"),
+    ("baseline", ["--method", "uninform", "--missing-rate", "1.5"], "--missing-rate"),
+    ("baseline", ["--method", "uninform", "--n-seeds", "0"], "--n-seeds"),
+])
+def test_bad_eval_flags_are_usage_errors_before_any_work(tmp_path, capsys, command,
+                                                         flags, named):
+    # every input file is missing: the flag must be rejected before any is read
+    paths = {"eval": ["--run", str(tmp_path / "run")],
+             "sweep": ["--run", str(tmp_path / "run")],
+             "baseline": ["--imputer", str(tmp_path / "imp.ckpt")]}[command]
+    code = main([command, *paths, "--data", str(tmp_path / "test.csv"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "missing file" not in err and "missing checkpoint" not in err
+
+
+@pytest.mark.parametrize("flags", [["--missing-rate", "1.0"], ["--missing-rate", "nan"]])
+def test_gen_data_rejects_rate_outside_unit_interval(tmp_path, capsys, flags):
+    code = main(["gen-data", "--dataset", "sin-single", "--out", str(tmp_path / "d"), *flags])
+    assert code == 1
+    assert "--missing-rate" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_sweep_without_explicit_ignores_explicit_k(run_dir, data_dir):
+    code = main(["sweep", "--run", str(run_dir), "--data", str(data_dir / "test.csv"),
+                 "--methods", "proposed", "--rates", "0.9", "--k", "1", "--n-seeds", "1",
+                 "--explicit-k", "1"])
+    assert code == 0
+    rows = (run_dir / "sweep.csv").read_text().splitlines()[2:]
+    assert {r.split(",")[0] for r in rows} == {"proposed"}
+
+
+def test_sweep_rejects_unknown_method_before_evaluating(run_dir, data_dir, capsys,
+                                                       monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(cli, "sweep_missing_rates",
+                        lambda subject, *a, **k: evaluated.append(k["method"]))
+    code = main(["sweep", "--run", str(run_dir), "--data", str(data_dir / "test.csv"),
+                 "--methods", "proposed,bogus", "--rates", "0.9"])
+    assert code == 1
+    assert "bogus" in capsys.readouterr().err
+    assert evaluated == []
 
 
 def test_baseline_uninform(run_dir, data_dir, tmp_path, capsys):

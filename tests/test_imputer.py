@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter1d
+from scipy.stats import chisquare
 
 from measim import nn
 from measim.data import gen_sinusoid_dataset
@@ -17,10 +20,12 @@ from measim.imputer import (
     load_imputer,
     loss_supervised_batch,
     loss_unsupervised,
+    net_inputs,
     pretrain,
     save_imputer,
+    self_mask,
 )
-from measim.masks import mask_dataset
+from measim.masks import mask_dataset, round_half_up
 
 
 def constant_output_imputer(d, variant, out_bias, noise_dim=2):
@@ -203,7 +208,72 @@ def test_impute_batch_k_draws_hold_each_candidate_once():
     assert peak <= 6.5 * one_state, peak / one_state
 
 
+@pytest.mark.parametrize("variant", ["sinusoid", "image"])
+def test_impute_batch_matches_forward_on_concatenated_input(variant):
+    # the shared state term splits the first layer's sum, so agreement with
+    # one forward on [state inputs ++ noise] is to rounding, not bitwise
+    rng = np.random.default_rng(19)
+    model = build_imputer(12, variant, noise_dim=4, hidden=(16, 16), rng=rng)
+    masks = (rng.random((30, 12)) < 0.3).astype(np.float64)
+    vals = rng.random((30, 12)) * masks
+    draws = impute_batch(model, vals, masks, np.random.default_rng(5), k=3)
+    noise_rng = np.random.default_rng(5)
+    for draw in draws:
+        x = np.concatenate([net_inputs(model, vals, masks),
+                            noise_rng.standard_normal((30, 4))], axis=1)
+        y = nn.forward(model.net, x, mode="eval")[0]
+        free = masks == 0.0
+        assert np.allclose(draw[free], y[free], rtol=1e-12, atol=0.0)
+        assert np.array_equal(draw[~free].view(np.uint64), vals[~free].view(np.uint64))
+
+
 # ------------------------------------------------------------ interpolation
+
+
+def interp_rows(values, masks):
+    """The reference: np.interp row by row."""
+    grid = np.arange(values.shape[1], dtype=np.float64)
+    out = np.zeros_like(values)
+    for i in range(values.shape[0]):
+        obs = np.flatnonzero(masks[i] == 1.0)
+        if obs.size:
+            out[i] = np.interp(grid, grid[obs], values[i, obs])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.floats(0.0, 1.0),
+       st.integers(-300, 300), st.integers(0, 2**32 - 1))
+def test_interpolate_batch_equals_rowwise_interp_bitwise(b, d, p_obs, exponent, seed):
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((b, d)) < p_obs).astype(np.float64)
+    if seed % 3 == 0:
+        masks[0] = 0.0  # a row with nothing observed
+    if seed % 5 == 0:
+        masks[-1] = 1.0  # a fully observed row
+    values = rng.normal(size=(b, d)) * 10.0 ** exponent * masks
+    got, want = interpolate_batch(values, masks), interp_rows(values, masks)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_interpolate_batch_holds_few_arrays():
+    # the row loop held one (B, D) result; the one flat np.interp call holds
+    # the result and its (B*D,) grid, with the knots and tail masks below one
+    # more (B, D) array at 20% observed
+    b, d = 720, 100
+    rng = np.random.default_rng(4)
+    masks = (rng.random((b, d)) < 0.2).astype(np.float64)
+    vals = rng.normal(size=(b, d)) * masks
+    one_array = b * d * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = interpolate_batch(vals, masks)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (b, d)
+    assert peak <= 3.5 * one_array, peak / one_array
 
 
 def test_interpolate_two_point_ramp():
@@ -263,6 +333,30 @@ def test_smoothness_zero_for_constant_vector():
 
 
 # -------------------------------------------------------------------- losses
+
+
+def test_self_mask_hides_round_half_up_of_observed():
+    rng = np.random.default_rng(21)
+    masks = (rng.random((200, 15)) < rng.random((200, 1))).astype(np.float64)
+    for fraction in (0.1, 0.5, 0.7, 0.99):
+        hidden = self_mask(masks, fraction, rng)
+        n_obs = masks.sum(axis=1)
+        want = [round_half_up(fraction * n) for n in n_obs.astype(int)]
+        assert np.array_equal(hidden.sum(axis=1), np.array(want, dtype=np.float64))
+        assert np.all(hidden <= masks)
+        assert set(np.unique(hidden)) <= {0.0, 1.0}
+
+
+def test_self_mask_hides_every_observed_coordinate_equally_often():
+    # rows observe 0, 2, 3, 5, 7, 8, 9 of d=10 and hide 4 of those 7: each
+    # observed coordinate is hidden with probability 4/7
+    masks = np.zeros((6000, 10))
+    observed = [0, 2, 3, 5, 7, 8, 9]
+    masks[:, observed] = 1.0
+    hidden = self_mask(masks, 0.5, np.random.default_rng(22))
+    counts = hidden.sum(axis=0)
+    assert np.all(counts[[1, 4, 6]] == 0.0)
+    assert chisquare(counts[observed]).pvalue > 1e-3
 
 
 def test_unsupervised_hand_example():

@@ -161,6 +161,32 @@ def test_adam_first_step_closed_form():
         assert np.allclose(a - b, 0.001, atol=1e-9)
 
 
+def test_adam_in_place_matches_textbook_formula_bitwise():
+    # the in-place update against the plain-expression form, over steps whose
+    # gradients change in scale and sign
+    rng = np.random.default_rng(37)
+    net = nn.DenseNet([5, 7, 3], rng=rng)
+    state = nn.OptimizerState("adam", lr=0.003)
+    params = [p.copy() for p in net.params()]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+    for t in range(1, 7):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.uniform(-4, 2) for p in params]
+        net.step(grads, state)
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            m_hat = mi / (1.0 - b1 ** t)
+            v_hat = vi / (1.0 - b2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert state.t == t
+        for got, want in zip([*net.params(), *state.m, *state.v], [*params, *m, *v]):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_nonfinite_gradient_rejected_with_layer():
     rng = np.random.default_rng(31)
     net = nn.DenseNet([2, 3, 1], rng=rng)
