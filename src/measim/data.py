@@ -34,6 +34,18 @@ class IdxFormatError(ValueError):
     """IDX container violated: bad magic, truncation, or dimension mismatch."""
 
 
+PARAM_RANGES = (("amplitude", AMPLITUDE_RANGE), ("frequency", FREQUENCY_RANGE),
+                ("phase", PHASE_RANGE))
+
+
+def _require_in_range(name: str, values, bounds: tuple[float, float]) -> None:
+    lo, hi = bounds
+    values = np.asarray(values, dtype=np.float64)
+    bad = values[~((lo <= values) & (values <= hi))]
+    if bad.size:
+        raise ValueError(f"{name} {float(bad.flat[0])} outside [{lo}, {hi}]")
+
+
 @dataclass
 class SinusoidParams:
     amplitude: float
@@ -41,15 +53,8 @@ class SinusoidParams:
     phase: float
 
     def __post_init__(self):
-        lo, hi = AMPLITUDE_RANGE
-        if not (lo <= self.amplitude <= hi):
-            raise ValueError(f"amplitude {self.amplitude} outside [{lo}, {hi}]")
-        lo, hi = FREQUENCY_RANGE
-        if not (lo <= self.frequency <= hi):
-            raise ValueError(f"frequency {self.frequency} outside [{lo}, {hi}]")
-        lo, hi = PHASE_RANGE
-        if not (lo <= self.phase <= hi):
-            raise ValueError(f"phase {self.phase} outside [{lo}, {hi}]")
+        for name, bounds in PARAM_RANGES:
+            _require_in_range(name, getattr(self, name), bounds)
 
     @classmethod
     def sample(cls, rng: np.random.Generator) -> "SinusoidParams":
@@ -78,13 +83,18 @@ def gen_sinusoid_dataset(
     if mode not in ("single", "double"):
         raise ValueError(f"mode must be 'single' or 'double', got {mode!r}")
 
+    terms = 2 if mode == "double" else 1
+    lo, hi = np.array([bounds for _, bounds in PARAM_RANGES] * terms).T
+
     def draw(n: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.zeros((n, GRID_POINTS))
-        for i in range(n):
-            p = SinusoidParams.sample(rng)
-            q = SinusoidParams.sample(rng) if mode == "double" else None
-            out[i] = gen_sinusoid(p, q)
-        return out
+        # the doubles SinusoidParams.sample draws row after row, in one block
+        params = rng.uniform(lo, hi, size=(n, 3 * terms)).reshape(n, terms, 3)
+        for j, (name, bounds) in enumerate(PARAM_RANGES):
+            _require_in_range(name, params[..., j], bounds)
+        amplitude, frequency, phase = (params[..., j, None] for j in range(3))
+        # (n, terms, GRID_POINTS): gen_sinusoid's formula per row and term
+        y = amplitude * np.sin(frequency * GRID + phase)
+        return y[:, 0] if terms == 1 else y[:, 0] + y[:, 1]
 
     train = draw(n_train, rngs.substream(seed, rngs.DATA_TRAIN))
     test = draw(n_test, rngs.substream(seed, rngs.DATA_TEST))
@@ -196,6 +206,7 @@ def gen_stroke_digits(n: int, seed: int = 0) -> np.ndarray:
     yy, xx = np.mgrid[0:28, 0:28]
     for i in range(n):
         img = np.zeros((28, 28))
+        blobs = []
         n_strokes = rng.integers(2, 5)
         for _ in range(n_strokes):
             # quadratic Bezier stroke through the central region
@@ -203,8 +214,11 @@ def gen_stroke_digits(n: int, seed: int = 0) -> np.ndarray:
             t = np.linspace(0.0, 1.0, 40)[:, None]
             curve = ((1 - t) ** 2) * pts[0] + 2 * t * (1 - t) * pts[1] + (t ** 2) * pts[2]
             width = rng.uniform(0.8, 1.6)
-            for cy, cx in curve:
-                img += np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2)))
+            # one Gaussian blob per centre point, a (40, 28, 28) block
+            cy, cx = curve[:, 0, None, None], curve[:, 1, None, None]
+            blobs.append(np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))))
+        # summed over axis 0 one blob after another, as adding each in turn would
+        img = np.add.reduce(np.concatenate([img[None], *blobs]), axis=0)
         img = img / max(img.max(), 1e-12)
         img = np.clip(img * rng.uniform(0.9, 1.0), 0.0, 1.0)
         # quantize like u8 pixel data

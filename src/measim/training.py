@@ -19,19 +19,17 @@ fine-tuned afterwards via finetune_after.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import platform
-import signal
-import traceback
 import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn, rngs
+from . import helper, nn, rngs
 from .episodes import (
     RewardConfig,
     Rollout,
@@ -404,110 +402,48 @@ class _E2Chain:
         pass
 
 
-def _serve_e2(conn, main_end, chain: _E2Chain) -> None:
-    """Helper process body: the E2 chain of each joint iteration, on request.
+def _serve_e2(chain: _E2Chain, request):
+    """One E2 request, answered in the helper process.
 
-    Receives (actor params, critic params, xbar, i), loads the parameters
-    into its copy of the policy, rolls E2 and sends the terminal state; then
-    receives the E2 rewards and sends the actor gradient term.  An exception
-    is sent back to be raised in the main process; a closed pipe means the
-    main process is gone.  The main process stops it with SIGTERM.
+    ("roll", actor params, critic params, xbar, i) loads the parameters into
+    the helper's copy of the policy, rolls E2 and returns its terminal state;
+    ("reward", r2) returns the actor-gradient term.
     """
-    main_end.close()
-    # an interrupt is the main process's to handle; it then stops this one
-    # with SIGTERM, whatever handler the main process had installed
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    kind, *args = request
+    if kind == "reward":
+        chain.reward(*args)
+        return chain.gradient()
+    actor_params, critic_params, xbar, i = args
     policy = chain.policy
-    try:
-        while True:
-            actor_params, critic_params, xbar, i = conn.recv()
-            for net, params in ((policy.actor, actor_params), (policy.critic, critic_params)):
-                for p, src in zip(net.params(), params):
-                    p[...] = src
-                net.version += 1
-            chain.start(policy, xbar, i)
-            conn.send(("ok", chain.terminal_state()))
-            chain.reward(conn.recv())
-            conn.send(("ok", chain.gradient()))
-    except EOFError:
-        pass
-    except Exception as exc:
-        conn.send(("error", (exc, traceback.format_exc())))
+    for net, params in ((policy.actor, actor_params), (policy.critic, critic_params)):
+        for p, src in zip(net.params(), params):
+            p[...] = src
+        net.version += 1
+    chain.start(policy, xbar, i)
+    return chain.terminal_state()
 
 
 class _E2Helper:
-    """A forked process that runs the joint loop's E2 chain beside E1.
-
-    Forking gives it the loaded NumPy and BLAS, so it computes under the same
-    numeric environment as the main process and its bits are the same.
-    """
+    """The joint loop's E2 chain in a forked helper process, beside E1."""
 
     def __init__(self, chain: _E2Chain):
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_end = ctx.Pipe()
-        self._proc = ctx.Process(target=_serve_e2, name="measim-e2", daemon=True,
-                                 args=(child_end, self._conn, chain))
-        self._proc.start()
-        child_end.close()
+        self._helper = helper.Helper("measim-e2", functools.partial(_serve_e2, chain))
 
     def start(self, policy: PolicyModel, xbar: np.ndarray, i: int) -> None:
         """Roll iteration i's E2 set under the policy's current parameters."""
-        self._send((policy.actor.params(), policy.critic.params(), xbar, i))
+        self._helper.send(("roll", policy.actor.params(), policy.critic.params(), xbar, i))
 
     def terminal_state(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._recv()
+        return self._helper.recv()
 
     def reward(self, rewards: np.ndarray) -> None:
-        self._send(rewards)
+        self._helper.send(("reward", rewards))
 
     def gradient(self) -> list[np.ndarray]:
-        return self._recv()
+        return self._helper.recv()
 
     def close(self) -> None:
-        self._proc.terminate()
-        self._proc.join()
-        self._conn.close()
-
-    def _send(self, message) -> None:
-        try:
-            self._conn.send(message)
-        except OSError:
-            raise self._exit_error() from None
-
-    def _recv(self):
-        try:
-            kind, payload = self._conn.recv()
-        except (EOFError, OSError):
-            raise self._exit_error() from None
-        if kind == "error":
-            exc, trace = payload
-            if hasattr(exc, "add_note"):
-                exc.add_note(f"raised in the E2 helper process:\n{trace}")
-            raise exc
-        return payload
-
-    def _exit_error(self) -> RuntimeError:
-        self._proc.join(5.0)
-        return RuntimeError(f"E2 helper process exited with code {self._proc.exitcode}")
-
-
-def _core_for_helper() -> bool:
-    """Whether a CPU core is left free for the E2 helper process.
-
-    It is when the environment pins the BLAS to one thread and this process
-    may run on two CPUs or more.  OpenBLAS reads OPENBLAS_NUM_THREADS and MKL
-    reads MKL_NUM_THREADS, each else OMP_NUM_THREADS; unset, they start one
-    thread per CPU.  Those threads already fill every core, and a second
-    process computing beside them slows both several times over (their
-    workers spin while they wait).
-    """
-    omp = os.environ.get("OMP_NUM_THREADS")
-    pinned = all(os.environ.get(var, omp) == "1"
-                 for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return pinned and cpus >= 2
+        self._helper.close()
 
 
 def pretrain_imputer(cfg: JointConfig, dataset: MissingDataset) -> tuple[ImputerModel, list[float]]:
@@ -590,7 +526,7 @@ def joint_train(
     e2 = None
     if cfg.ablation == "full" and cfg.iterations > 0:
         e2 = _E2Chain(policy, horizon, seed, cfg.normalize_advantages)
-        if _core_for_helper():
+        if helper.core_for_helper():
             e2 = _E2Helper(e2)
     try:
         for i in range(cfg.iterations):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measim import rngs
 from measim.data import (
     GRID,
+    GRID_POINTS,
     MNIST_STEMS,
     IdxFormatError,
     SinusoidParams,
@@ -270,3 +272,59 @@ def test_stroke_digits_properties():
     assert (a > 0.5).sum() > 0
     c = gen_stroke_digits(4, seed=2)
     assert not np.array_equal(a, c)
+
+
+def sinusoid_rows_by_loop(n, mode, rng):
+    """The per-row generator gen_sinusoid_dataset replaced, kept as reference."""
+    out = np.zeros((n, GRID_POINTS))
+    for i in range(n):
+        p = SinusoidParams.sample(rng)
+        q = SinusoidParams.sample(rng) if mode == "double" else None
+        out[i] = gen_sinusoid(p, q)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["single", "double"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_dataset_block_draw_matches_row_loop(mode, seed):
+    train, test = gen_sinusoid_dataset(n_train=37, n_test=11, mode=mode, seed=seed)
+    for got, n, label in ((train, 37, rngs.DATA_TRAIN), (test, 11, rngs.DATA_TEST)):
+        expected = sinusoid_rows_by_loop(n, mode, rngs.substream(seed, label))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_dataset_rejects_out_of_range_draws(monkeypatch):
+    class TooWide:
+        def uniform(self, low, high, size):
+            return np.full(size, 3.0)
+
+    monkeypatch.setattr(rngs, "substream", lambda *key: TooWide())
+    with pytest.raises(ValueError, match=r"amplitude 3.0 outside \[0.1, 1.0\]"):
+        gen_sinusoid_dataset(n_train=2, n_test=1)
+
+
+def stroke_digits_by_loop(n, seed):
+    """gen_stroke_digits as it was, adding one Gaussian at a time; reference."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97, 0)))
+    out = np.zeros((n, 784))
+    yy, xx = np.mgrid[0:28, 0:28]
+    for i in range(n):
+        img = np.zeros((28, 28))
+        n_strokes = rng.integers(2, 5)
+        for _ in range(n_strokes):
+            pts = rng.uniform(6, 22, size=(3, 2))
+            t = np.linspace(0.0, 1.0, 40)[:, None]
+            curve = ((1 - t) ** 2) * pts[0] + 2 * t * (1 - t) * pts[1] + (t ** 2) * pts[2]
+            width = rng.uniform(0.8, 1.6)
+            for cy, cx in curve:
+                img += np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2)))
+        img = img / max(img.max(), 1e-12)
+        img = np.clip(img * rng.uniform(0.9, 1.0), 0.0, 1.0)
+        out[i] = np.round(img.reshape(784) * 255.0) / 255.0
+    return out
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (7, 3), (12, 11)])
+def test_stroke_digits_match_one_gaussian_at_a_time(n, seed):
+    assert gen_stroke_digits(n, seed=seed).tobytes() == stroke_digits_by_loop(n, seed).tobytes()

@@ -1,10 +1,12 @@
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from measim import evaluate
+from measim import evaluate, helper
 from measim.episodes import ExplicitSelector, UniformSelector, horizon_for
 from measim.evaluate import (
     EVAL_MODES,
@@ -128,6 +130,11 @@ def test_policy_greedy_evaluation_runs():
     assert all(np.isfinite(r.top1_rmse) for r in report.rows)
 
 
+def evaluate_in_helper(monkeypatch, on: bool) -> None:
+    """Evaluate the odd seeds in the helper process, or every seed in this one."""
+    monkeypatch.setattr(helper, "core_for_helper", lambda: on)
+
+
 def capture_rollouts(monkeypatch, measure=False):
     """Rollouts eval_policy makes, or with measure the memory each one holds."""
     real = evaluate.rollout_batch
@@ -147,6 +154,7 @@ def test_stochastic_evaluation_is_deterministic_and_observes_truth(monkeypatch):
     policy = build_policy(D, actor_hidden=(8,), critic_hidden=(4,),
                           rng=np.random.default_rng(5))
     truth = truth_matrix()
+    evaluate_in_helper(monkeypatch, False)
     rolls = capture_rollouts(monkeypatch)
 
     def run(seed):
@@ -177,6 +185,7 @@ def test_evaluation_holds_no_step_states(monkeypatch, mode):
     imputer = build_imputer(d, "sinusoid", rng=np.random.default_rng(7))
     truth = np.random.default_rng(8).normal(size=(b, d))
     one_state = b * 2 * d * 8
+    evaluate_in_helper(monkeypatch, False)
     held = capture_rollouts(monkeypatch, measure=True)
     tracemalloc.start()
     try:
@@ -191,9 +200,10 @@ def test_evaluation_holds_no_step_states(monkeypatch, mode):
     assert peak <= 12 * one_state, peak / one_state
 
 
-def test_evaluation_releases_each_seed_before_the_next():
+def test_evaluation_releases_each_seed_before_the_next(monkeypatch):
     # the previous seed's rollout and draws (about 1.5 (B, 2D) states at
     # B=720, D=100, k=3) must be gone before the next seed's rollout runs
+    evaluate_in_helper(monkeypatch, False)
     b, d = 720, 100
     policy = build_policy(d, rng=np.random.default_rng(6))
     imputer = build_imputer(d, "sinusoid", rng=np.random.default_rng(7))
@@ -211,6 +221,103 @@ def test_evaluation_releases_each_seed_before_the_next():
 
     one, two = peak_of(1), peak_of(2)
     assert two <= one + one_state, (one / one_state, two / one_state)
+
+
+def report_bits(report):
+    return [(r.method, r.eval_rate.hex(), r.top1_rmse.hex(), r.top3_rmse.hex(),
+             r.n_examples, r.seed, r.trained_rate.hex()) for r in report.rows]
+
+
+def count_helpers(monkeypatch) -> list[str]:
+    """Names of the helper processes started from here on."""
+    started = []
+    real = helper.Helper
+
+    def counted(name, handle):
+        started.append(name)
+        return real(name, handle)
+
+    monkeypatch.setattr(helper, "Helper", counted)
+    return started
+
+
+SUBJECTS = {
+    "greedy": lambda: (build_policy(D, actor_hidden=(8,), critic_hidden=(4,),
+                                    rng=np.random.default_rng(5)), "greedy"),
+    "stochastic": lambda: (build_policy(D, actor_hidden=(8,), critic_hidden=(4,),
+                                        rng=np.random.default_rng(5)), "stochastic"),
+    "uninform": lambda: (UniformSelector(), "greedy"),
+    "explicit": lambda: (ExplicitSelector(random_imputer(2), k=3), "greedy"),
+}
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 3, 4])
+@pytest.mark.parametrize("subject", list(SUBJECTS))
+def test_helper_seeds_match_serial_evaluation(monkeypatch, subject, n_seeds):
+    # each seed draws only from its own substreams and the forked helper
+    # computes under the same numeric environment: the same bytes either way
+    subj, mode = SUBJECTS[subject]()
+    truth = truth_matrix()
+
+    def run(on):
+        evaluate_in_helper(monkeypatch, on)
+        return eval_policy(subj, random_imputer(), truth, 0.6, k=3, n_seeds=n_seeds,
+                           seed=4, eval_mode=mode, trained_rate=0.8)
+
+    started = count_helpers(monkeypatch)
+    serial = run(False)
+    assert started == []
+    split = run(True)
+    assert started == (["measim-eval"] if n_seeds >= 2 else [])
+    assert multiprocessing.active_children() == []
+    assert [r.seed for r in split.rows] == list(range(n_seeds))
+    assert report_bits(split) == report_bits(serial)
+
+
+def fail_in(where, monkeypatch, fail):
+    """Make eval_policy's selector rollouts call fail() in the helper process
+    (where="helper") or in this one (where="main")."""
+    main = os.getpid()
+    real = evaluate.rollout_with_selector
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == main) == (where == "main"):
+            fail()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "rollout_with_selector", failing)
+
+
+def test_helper_error_reaches_caller_and_leaves_no_process(monkeypatch):
+    def fail():
+        raise ValueError("seed failed on purpose")
+
+    evaluate_in_helper(monkeypatch, True)
+    fail_in("helper", monkeypatch, fail)
+    with pytest.raises(ValueError) as caught:
+        eval_policy(UniformSelector(), random_imputer(), truth_matrix(), 0.5, n_seeds=3)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "seed failed on purpose"
+    assert multiprocessing.active_children() == []
+
+
+def test_helper_exit_is_reported_with_its_code(monkeypatch):
+    evaluate_in_helper(monkeypatch, True)
+    fail_in("helper", monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="measim-eval exited with code 3"):
+        eval_policy(UniformSelector(), random_imputer(), truth_matrix(), 0.5, n_seeds=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_leaves_no_process(monkeypatch):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    evaluate_in_helper(monkeypatch, True)
+    fail_in("main", monkeypatch, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        eval_policy(UniformSelector(), random_imputer(), truth_matrix(), 0.5, n_seeds=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_bad_eval_mode_rejected():

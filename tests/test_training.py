@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from measim import rngs, training
+from measim import helper, rngs, training
 from measim.episodes import (
     ExplicitSelector,
     RewardConfig,
@@ -397,7 +397,7 @@ def test_early_stop_on_flat_rewards(monkeypatch):
 
 def e2_in_helper(monkeypatch, on: bool) -> None:
     """Run the joint loop's E2 chain in the helper process, or in this one."""
-    monkeypatch.setattr(training, "_core_for_helper", lambda: on)
+    monkeypatch.setattr(helper, "core_for_helper", lambda: on)
 
 
 def track_rollouts(monkeypatch):
@@ -558,7 +558,7 @@ def test_helper_only_where_the_blas_leaves_a_core(monkeypatch, env, cpus, expect
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert training._core_for_helper() is expected
+    assert helper.core_for_helper() is expected
 
 
 def test_helper_error_reaches_caller_and_leaves_no_process(monkeypatch):
