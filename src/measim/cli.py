@@ -133,6 +133,16 @@ def load_dataset_csv(path):
     return load_missing_csv(path)
 
 
+def require_same_width(*named) -> None:
+    """named: (what, path, width) triples for models and data loaded
+    together; a pair whose widths differ is a usage error naming both."""
+    (what_a, path_a, width_a), *rest = named
+    for what_b, path_b, width_b in rest:
+        if width_b != width_a:
+            raise CliError(f"dimension mismatch: {what_a} {path_a} is {width_a} "
+                           f"coordinates wide, {what_b} {path_b} is {width_b}")
+
+
 def require_run_files(run_dir) -> dict:
     paths = {
         "config": os.path.join(run_dir, "config.txt"),
@@ -224,6 +234,8 @@ def cmd_train_joint(args) -> int:
         if not os.path.exists(args.imputer):
             raise CliError(f"missing checkpoint: {args.imputer}")
         imputer = load_imputer(args.imputer)
+        require_same_width(("imputer", args.imputer, imputer.d),
+                           ("data", args.data, ds.dim))
     policy, imputer, record = run_training(cfg, ds, out_dir=args.out,
                                            imputer=imputer,
                                            trace_episodes=args.trace_episodes)
@@ -241,6 +253,9 @@ def cmd_eval(args) -> int:
     policy = load_policy(paths["actor"], paths["critic"])
     imputer = load_imputer(paths["imputer"])
     ds = load_dataset_csv(args.data)
+    require_same_width(("policy", paths["actor"], policy.d),
+                       ("imputer", paths["imputer"], imputer.d),
+                       ("data", args.data, ds.dim))
     if ds.ground_truth is None:
         raise CliError(f"test data has no ground-truth columns: {args.data}")
     rate = args.missing_rate if args.missing_rate is not None else cfg.missing_rate
@@ -261,6 +276,9 @@ def cmd_sweep(args) -> int:
     policy = load_policy(paths["actor"], paths["critic"])
     imputer = load_imputer(paths["imputer"])
     ds = load_dataset_csv(args.data)
+    require_same_width(("policy", paths["actor"], policy.d),
+                       ("imputer", paths["imputer"], imputer.d),
+                       ("data", args.data, ds.dim))
     if ds.ground_truth is None:
         raise CliError(f"test data has no ground-truth columns: {args.data}")
     subjects = {
@@ -289,6 +307,7 @@ def cmd_baseline(args) -> int:
         raise CliError(f"missing checkpoint: {args.imputer}")
     imputer = load_imputer(args.imputer)
     ds = load_dataset_csv(args.data)
+    require_same_width(("imputer", args.imputer, imputer.d), ("data", args.data, ds.dim))
     if ds.ground_truth is None:
         raise CliError(f"test data has no ground-truth columns: {args.data}")
     if args.method == "uninform":

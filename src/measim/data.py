@@ -203,22 +203,26 @@ def gen_stroke_digits(n: int, seed: int = 0) -> np.ndarray:
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97, 0)))
     out = np.zeros((n, 784))
-    yy, xx = np.mgrid[0:28, 0:28]
+    grid = np.arange(28.0)
+    t = np.linspace(0.0, 1.0, 40)[:, None]
     for i in range(n):
-        img = np.zeros((28, 28))
-        blobs = []
         n_strokes = rng.integers(2, 5)
-        for _ in range(n_strokes):
+        # row 0 stands for the blank image the blobs are added to
+        stack = np.empty((1 + 40 * n_strokes, 28, 28))
+        stack[0] = 0.0
+        for s in range(n_strokes):
             # quadratic Bezier stroke through the central region
             pts = rng.uniform(6, 22, size=(3, 2))
-            t = np.linspace(0.0, 1.0, 40)[:, None]
             curve = ((1 - t) ** 2) * pts[0] + 2 * t * (1 - t) * pts[1] + (t ** 2) * pts[2]
             width = rng.uniform(0.8, 1.6)
             # one Gaussian blob per centre point, a (40, 28, 28) block
-            cy, cx = curve[:, 0, None, None], curve[:, 1, None, None]
-            blobs.append(np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))))
+            blobs = stack[1 + 40 * s:1 + 40 * (s + 1)]
+            np.add((grid[:, None] - curve[:, 0, None, None]) ** 2,
+                   (grid - curve[:, 1, None, None]) ** 2, out=blobs)
+            blobs /= -(2 * width ** 2)
+            np.exp(blobs, out=blobs)
         # summed over axis 0 one blob after another, as adding each in turn would
-        img = np.add.reduce(np.concatenate([img[None], *blobs]), axis=0)
+        img = np.add.reduce(stack, axis=0)
         img = img / max(img.max(), 1e-12)
         img = np.clip(img * rng.uniform(0.9, 1.0), 0.0, 1.0)
         # quantize like u8 pixel data

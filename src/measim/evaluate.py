@@ -33,6 +33,10 @@ SWEEP_CSV_HEADER = "method,trained_rate,eval_rate,top1_rmse,top3_rmse,n,seed"
 
 EVAL_MODES = ("greedy", "stochastic")
 
+# most rows per evaluation task: of 180, 240 and 360, 360 gave sin80's 720
+# test rows the best throughput.  A report's bytes depend on it.
+EVAL_BLOCK_ROWS = 360
+
 
 @dataclass
 class EvalRow:
@@ -86,6 +90,12 @@ def _ground_truth(dataset) -> np.ndarray:
     raise TypeError(f"cannot evaluate on {type(dataset).__name__}")
 
 
+def row_blocks(n: int) -> list[slice]:
+    """ceil(n / EVAL_BLOCK_ROWS) contiguous row blocks, sizes within one row."""
+    m = -(-n // EVAL_BLOCK_ROWS)
+    return [slice(j * n // m, (j + 1) * n // m) for j in range(m)]
+
+
 def eval_policy(
     subject,
     imputer: ImputerModel,
@@ -103,13 +113,20 @@ def eval_policy(
     subject is either a PolicyModel (rolled greedily by default) or a
     selector callable (values, masks, rng) -> actions.
 
-    Seed s draws only from its own substreams, so seeds are independent.
-    With two seeds or more and a CPU core the BLAS leaves free (see
-    helper.core_for_helper), a forked helper process evaluates the odd
-    seeds while this process evaluates the even ones; the helper computes
-    under the same numeric environment, so the report is bit-identical to
-    evaluating every seed here, which is what happens otherwise.  A helper
-    seed's EvalRow.wall_time is timed in the helper.
+    The work is a list of (seed s, row block j) tasks in that order, the
+    blocks from row_blocks.  Task (s, j) rolls block j from substream
+    (seed, EVAL, s, 0, j) and imputes its terminal states k times from
+    (seed, EVAL, s, 1, j), so each task's bits depend on nothing but its
+    key.  A seed's errors are means over its rows, the blocks taken in row
+    order, and its EvalRow.wall_time is the sum of its task times.
+
+    With two tasks or more and a CPU core the BLAS leaves free (see
+    helper.core_for_helper), a forked helper process runs the odd tasks
+    while this one runs the even ones, and only per-row errors and task
+    times cross the pipe.  The helper computes under the same numeric
+    environment, so the report is bit-identical to running every task here,
+    which is what happens otherwise.  Either way a process holds one block's
+    rollout and draws at a time.
     """
     if eval_mode not in EVAL_MODES:
         raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {eval_mode!r}")
@@ -119,45 +136,56 @@ def eval_policy(
         raise ValueError("n_seeds must be >= 1")
     truth = _ground_truth(dataset)
     n, d = truth.shape
+    if n == 0:
+        raise ValueError("evaluation needs at least one row")
     horizon = horizon_for(d, missing_rate)
     if method is None:
         method = method_name(subject)
+    blocks = row_blocks(n)
 
-    def seed_row(s: int) -> EvalRow:
-        # the rollout and draws are released on return, before the next seed's
+    def run_task(s: int, j: int) -> tuple[np.ndarray, np.ndarray, float]:
+        # the rollout and draws are released on return, before the next task's
         start = time.perf_counter()
-        rng_ep = rngs.substream(seed, rngs.EVAL, s, 0)
-        rng_imp = rngs.substream(seed, rngs.EVAL, s, 1)
+        rows = truth[blocks[j]]
+        rng_ep = rngs.substream(seed, rngs.EVAL, s, 0, j)
+        rng_imp = rngs.substream(seed, rngs.EVAL, s, 1, j)
         if isinstance(subject, PolicyModel):
-            roll = rollout_batch(subject, truth, horizon, eval_mode, rng_ep,
+            roll = rollout_batch(subject, rows, horizon, eval_mode, rng_ep,
                                  grad=False)
         else:
-            roll = rollout_with_selector(subject, truth, horizon, rng_ep)
-
+            roll = rollout_with_selector(subject, rows, horizon, rng_ep)
         cands = impute_batch(imputer, roll.terminal_values, roll.terminal_masks,
                              rng_imp, k=k)
+        return (topk_rmse(cands[:1], rows), topk_rmse(cands, rows),
+                time.perf_counter() - start)
 
-        return EvalRow(
+    def run_tasks(tasks) -> list:
+        return [run_task(s, j) for s, j in tasks]
+
+    tasks = [(s, j) for s in range(n_seeds) for j in range(len(blocks))]
+    if len(tasks) < 2 or not helper.core_for_helper():
+        results = run_tasks(tasks)
+    else:
+        results = [None] * len(tasks)
+        with helper.Helper("measim-eval", run_tasks) as side:
+            side.send(tasks[1::2])
+            results[::2] = run_tasks(tasks[::2])
+            results[1::2] = side.recv()
+
+    rows = []
+    for s in range(n_seeds):
+        top1, topk, times = zip(*results[s * len(blocks):(s + 1) * len(blocks)])
+        rows.append(EvalRow(
             method=method,
             eval_rate=missing_rate,
-            top1_rmse=float(np.mean(topk_rmse(cands[:1], truth))),
-            top3_rmse=float(np.mean(topk_rmse(cands, truth))),
+            top1_rmse=float(np.mean(np.concatenate(top1))),
+            top3_rmse=float(np.mean(np.concatenate(topk))),
             n_examples=n,
             seed=s,
-            wall_time=time.perf_counter() - start,
+            wall_time=sum(times),
             trained_rate=trained_rate,
-        )
-
-    def seed_rows(seeds) -> list[EvalRow]:
-        return [seed_row(s) for s in seeds]
-
-    seeds = range(n_seeds)
-    if n_seeds < 2 or not helper.core_for_helper():
-        return EvalReport(seed_rows(seeds))
-    with helper.Helper("measim-eval", seed_rows) as side:
-        side.send(seeds[1::2])
-        rows = seed_rows(seeds[::2]) + side.recv()
-    return EvalReport(sorted(rows, key=lambda r: r.seed))
+        ))
+    return EvalReport(rows)
 
 
 def sweep_missing_rates(

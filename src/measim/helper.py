@@ -1,11 +1,11 @@
 """One forked helper process beside the main one, for work that can overlap.
 
 The joint loop runs its E2 chain in one (training._E2Helper) and evaluation
-its odd seeds (evaluate.eval_policy).  Forking gives the helper this
-process's memory, so models and data need not cross the pipe, and its loaded
-NumPy and BLAS, so it computes under the same numeric environment and its
-bits are the same as computing here.  Callers start one only where
-core_for_helper() holds.
+half of its (seed, row block) tasks (evaluate.eval_policy).  Forking gives
+the helper this process's memory, so models and data need not cross the
+pipe, and its loaded NumPy and BLAS, so it computes under the same numeric
+environment and its bits are the same as computing here.  Callers start one
+only where core_for_helper() holds.
 """
 
 from __future__ import annotations

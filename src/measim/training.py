@@ -498,6 +498,9 @@ def joint_train(
     reward_cfg = RewardConfig(k=cfg.k_reward)
     seed = cfg.seed
 
+    if imputer is not None and imputer.d != d:
+        raise ValueError(f"imputer dimension {imputer.d} != dataset dimension {d}")
+
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_config(cfg, os.path.join(out_dir, "config.txt"))
@@ -506,8 +509,6 @@ def joint_train(
     if imputer is None:
         imputer, _ = pretrain_imputer(cfg, dataset)
     else:
-        if imputer.d != d:
-            raise ValueError(f"imputer dimension {imputer.d} != dataset dimension {d}")
         imputer = imputer.copy()
 
     policy = build_policy(d, actor_hidden=cfg.actor_hidden,

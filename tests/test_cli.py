@@ -6,7 +6,8 @@ import pytest
 from measim import cli
 from measim.cli import main, preset_config
 from measim.data import gen_stroke_digits, write_idx_images
-from measim.masks import load_missing_csv
+from measim.imputer import build_imputer, save_imputer
+from measim.masks import MissingDataset, load_missing_csv, save_missing_csv
 from measim.training import JointConfig, load_config, write_config
 
 
@@ -334,6 +335,54 @@ def test_baseline_missing_imputer(data_dir, tmp_path, capsys):
                  "--imputer", str(tmp_path / "nope.ckpt")])
     assert code == 1
     assert "nope.ckpt" in capsys.readouterr().err
+
+
+@pytest.fixture
+def narrow_data(tmp_path, data_dir):
+    """data_dir's splits cut to their first 50 of 100 coordinates."""
+    out = tmp_path / "narrow"
+    out.mkdir()
+    for name, with_truth in (("train.csv", False), ("test.csv", True)):
+        ds = load_missing_csv(data_dir / name)
+        truth = ds.ground_truth[:, :50] if with_truth else None
+        save_missing_csv(MissingDataset(ds.values[:, :50], ds.masks[:, :50], truth),
+                         out / name, include_ground_truth=with_truth)
+    return out
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "baseline", "train-joint"])
+def test_width_mismatch_is_usage_error_naming_both_files(tmp_path, run_dir, narrow_data,
+                                                         capsys, command):
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(), cfg_path)
+    out = tmp_path / "out"
+    model = run_dir / ("imputer.ckpt" if command in ("baseline", "train-joint")
+                       else "actor.ckpt")
+    data = narrow_data / ("train.csv" if command == "train-joint" else "test.csv")
+    argv = {
+        "eval": ["eval", "--run", str(run_dir), "--data", str(data), "--out", str(out)],
+        "sweep": ["sweep", "--run", str(run_dir), "--data", str(data),
+                  "--rates", "0.9", "--out", str(out)],
+        "baseline": ["baseline", "--method", "explicit", "--data", str(data),
+                     "--imputer", str(model), "--out", str(out)],
+        "train-joint": ["train-joint", "--data", str(data), "--imputer", str(model),
+                        "--config", str(cfg_path), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "dimension mismatch" in err
+    assert f"{model} is 100 coordinates wide" in err and f"{data} is 50" in err
+    # nothing written, a half-made run directory included
+    assert not out.exists()
+
+
+def test_eval_rejects_run_whose_models_differ_in_width(tmp_path, run_dir, data_dir, capsys):
+    save_imputer(build_imputer(50, "sinusoid", noise_dim=3, hidden=(16,),
+                               rng=np.random.default_rng(0)), run_dir / "imputer.ckpt")
+    assert main(["eval", "--run", str(run_dir), "--data", str(data_dir / "test.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{run_dir / 'actor.ckpt'} is 100 coordinates wide" in err
+    assert f"{run_dir / 'imputer.ckpt'} is 50" in err
 
 
 def test_grad_check_passes(capsys):

@@ -328,3 +328,33 @@ def stroke_digits_by_loop(n, seed):
 @pytest.mark.parametrize("n, seed", [(1, 0), (7, 3), (12, 11)])
 def test_stroke_digits_match_one_gaussian_at_a_time(n, seed):
     assert gen_stroke_digits(n, seed=seed).tobytes() == stroke_digits_by_loop(n, seed).tobytes()
+
+
+def stroke_digits_by_stroke_block(n, seed):
+    """gen_stroke_digits with one (40, 28, 28) exp per stroke, each a new
+    array, summed from a concatenated list; reference."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97, 0)))
+    out = np.zeros((n, 784))
+    yy, xx = np.mgrid[0:28, 0:28]
+    for i in range(n):
+        img = np.zeros((28, 28))
+        blobs = []
+        n_strokes = rng.integers(2, 5)
+        for _ in range(n_strokes):
+            pts = rng.uniform(6, 22, size=(3, 2))
+            t = np.linspace(0.0, 1.0, 40)[:, None]
+            curve = ((1 - t) ** 2) * pts[0] + 2 * t * (1 - t) * pts[1] + (t ** 2) * pts[2]
+            width = rng.uniform(0.8, 1.6)
+            cy, cx = curve[:, 0, None, None], curve[:, 1, None, None]
+            blobs.append(np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))))
+        img = np.add.reduce(np.concatenate([img[None], *blobs]), axis=0)
+        img = img / max(img.max(), 1e-12)
+        img = np.clip(img * rng.uniform(0.9, 1.0), 0.0, 1.0)
+        out[i] = np.round(img.reshape(784) * 255.0) / 255.0
+    return out
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (5, 3), (30, 8), (64, 21)])
+def test_stroke_digits_match_one_block_per_stroke(n, seed):
+    assert (gen_stroke_digits(n, seed=seed).tobytes()
+            == stroke_digits_by_stroke_block(n, seed).tobytes())

@@ -6,19 +6,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from measim import evaluate, helper
-from measim.episodes import ExplicitSelector, UniformSelector, horizon_for
+from measim import evaluate, helper, rngs
+from measim.episodes import (
+    ExplicitSelector,
+    UniformSelector,
+    horizon_for,
+    rollout_batch,
+    rollout_with_selector,
+    topk_rmse,
+)
 from measim.evaluate import (
+    EVAL_BLOCK_ROWS,
     EVAL_MODES,
     EvalReport,
     EvalRow,
     eval_policy,
     load_sweep_csv,
     method_name,
+    row_blocks,
     sweep_missing_rates,
     write_sweep_csv,
 )
-from measim.imputer import build_imputer
+from measim.imputer import build_imputer, impute_batch
 from measim.masks import MissingDataset, mask_dataset, mcar_spec
 from measim.policy import build_policy
 
@@ -194,7 +203,8 @@ def test_evaluation_holds_no_step_states(monkeypatch, mode):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(held) == 2
+    # 2 seeds x 2 row blocks
+    assert len(held) == 4
     assert max(held) <= 3 * one_state, max(held) / one_state
     # the k=3 imputation of the terminal states sets the peak now
     assert peak <= 12 * one_state, peak / one_state
@@ -251,13 +261,12 @@ SUBJECTS = {
 }
 
 
-@pytest.mark.parametrize("n_seeds", [1, 2, 3, 4])
-@pytest.mark.parametrize("subject", list(SUBJECTS))
-def test_helper_seeds_match_serial_evaluation(monkeypatch, subject, n_seeds):
-    # each seed draws only from its own substreams and the forked helper
-    # computes under the same numeric environment: the same bytes either way
+def check_helper_matches_serial(monkeypatch, subject, n_seeds, n_rows):
+    # each (seed, block) task draws only from its own substreams and the
+    # forked helper computes under the same numeric environment: the same
+    # bytes either way
     subj, mode = SUBJECTS[subject]()
-    truth = truth_matrix()
+    truth = truth_matrix(n_rows)
 
     def run(on):
         evaluate_in_helper(monkeypatch, on)
@@ -268,10 +277,19 @@ def test_helper_seeds_match_serial_evaluation(monkeypatch, subject, n_seeds):
     serial = run(False)
     assert started == []
     split = run(True)
-    assert started == (["measim-eval"] if n_seeds >= 2 else [])
+    n_tasks = n_seeds * len(row_blocks(n_rows))
+    assert started == (["measim-eval"] if n_tasks >= 2 else [])
     assert multiprocessing.active_children() == []
     assert [r.seed for r in split.rows] == list(range(n_seeds))
+    assert all(r.n_examples == n_rows for r in split.rows)
     assert report_bits(split) == report_bits(serial)
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 3, 4])
+@pytest.mark.parametrize("subject", list(SUBJECTS))
+def test_helper_seeds_match_serial_evaluation(monkeypatch, subject, n_seeds):
+    # 20 rows make one block, so the tasks are the seeds
+    check_helper_matches_serial(monkeypatch, subject, n_seeds, 20)
 
 
 def fail_in(where, monkeypatch, fail):
@@ -318,6 +336,139 @@ def test_interrupt_leaves_no_process(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         eval_policy(UniformSelector(), random_imputer(), truth_matrix(), 0.5, n_seeds=2)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n, sizes", [(1, [1]), (96, [96]), (359, [359]), (360, [360]),
+                                      (361, [180, 181]), (720, [360, 360]),
+                                      (727, [242, 242, 243]), (2000, [333, 333, 334, 333, 333, 334])])
+def test_row_blocks_are_contiguous_and_even(n, sizes):
+    blocks = row_blocks(n)
+    assert [b.stop - b.start for b in blocks] == sizes
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert len(blocks) == -(-n // EVAL_BLOCK_ROWS)
+
+
+def test_empty_test_set_rejected():
+    with pytest.raises(ValueError, match="at least one row"):
+        eval_policy(UniformSelector(), random_imputer(), np.zeros((0, D)), 0.5)
+
+
+@pytest.mark.parametrize("n_rows", [1, 359, 360, 361, 727])
+@pytest.mark.parametrize("n_seeds", [1, 2, 3, 4])
+@pytest.mark.parametrize("subject", list(SUBJECTS))
+def test_helper_tasks_match_serial_evaluation(monkeypatch, subject, n_seeds, n_rows):
+    check_helper_matches_serial(monkeypatch, subject, n_seeds, n_rows)
+
+
+def block_reference(subject, mode, imputer, truth, rate, k, n_seeds, seed):
+    """Per-seed (top1, topk) means from each block evaluated alone, the
+    per-row errors concatenated in row order."""
+    horizon = horizon_for(truth.shape[1], rate)
+    means = []
+    for s in range(n_seeds):
+        top1, topk = [], []
+        for j, block in enumerate(row_blocks(len(truth))):
+            rows = truth[block].copy()
+            rng_ep = rngs.substream(seed, rngs.EVAL, s, 0, j)
+            if mode is None:
+                roll = rollout_with_selector(subject, rows, horizon, rng_ep)
+            else:
+                roll = rollout_batch(subject, rows, horizon, mode, rng_ep, grad=False)
+            cands = impute_batch(imputer, roll.terminal_values, roll.terminal_masks,
+                                 rngs.substream(seed, rngs.EVAL, s, 1, j), k=k)
+            top1.append(topk_rmse(cands[:1], rows))
+            topk.append(topk_rmse(cands, rows))
+        means.append((float(np.mean(np.concatenate(top1))),
+                      float(np.mean(np.concatenate(topk)))))
+    return means
+
+
+@pytest.mark.parametrize("subject", list(SUBJECTS))
+def test_every_row_is_evaluated_once(monkeypatch, subject):
+    subj, mode = SUBJECTS[subject]()
+    is_policy = subject in ("greedy", "stochastic")
+    truth = truth_matrix(727)
+    imputer = random_imputer()
+    evaluate_in_helper(monkeypatch, False)
+    seen = []
+    name = "rollout_batch" if is_policy else "rollout_with_selector"
+    real = getattr(evaluate, name)
+
+    def tracked(roller, x_bar, *args, **kwargs):
+        seen.append(np.array(x_bar))
+        return real(roller, x_bar, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, name, tracked)
+    errors = []
+    real_topk = evaluate.topk_rmse
+
+    def recorded(cands, x_bar):
+        errors.append(real_topk(cands, x_bar))
+        return errors[-1]
+
+    monkeypatch.setattr(evaluate, "topk_rmse", recorded)
+    report = eval_policy(subj, imputer, truth, 0.6, k=3, n_seeds=3, seed=4,
+                         eval_mode=mode)
+    ref = block_reference(subj, mode if is_policy else None, imputer, truth, 0.6, 3, 3, 4)
+    assert [(r.top1_rmse, r.top3_rmse) for r in report.rows] == ref
+    # 3 seeds x 3 blocks, each seed's blocks covering the rows once, in order
+    assert len(seen) == 9
+    for s in range(3):
+        assert np.array_equal(np.concatenate(seen[3 * s:3 * s + 3]), truth)
+    # per task, top-1 then top-k errors: the minimum over k draws never exceeds the first
+    assert sum(len(e) for e in errors[::2]) == 3 * len(truth)
+    for top1, topk in zip(errors[::2], errors[1::2]):
+        assert np.all(topk <= top1)
+
+
+@pytest.mark.parametrize("outcome", ["success", "helper error", "interrupt"])
+def test_one_seed_two_blocks_use_the_helper_and_leave_no_process(monkeypatch, outcome):
+    evaluate_in_helper(monkeypatch, True)
+    started = count_helpers(monkeypatch)
+    if outcome == "helper error":
+        def fail():
+            raise ValueError("block failed on purpose")
+        fail_in("helper", monkeypatch, fail)
+    elif outcome == "interrupt":
+        def fail():
+            raise KeyboardInterrupt
+        fail_in("main", monkeypatch, fail)
+    expected = {"success": None, "helper error": ValueError,
+                "interrupt": KeyboardInterrupt}[outcome]
+    truth = truth_matrix(720)
+    if expected is None:
+        report = eval_policy(UniformSelector(), random_imputer(), truth, 0.5, n_seeds=1)
+        assert len(report.rows) == 1
+    else:
+        with pytest.raises(expected):
+            eval_policy(UniformSelector(), random_imputer(), truth, 0.5, n_seeds=1)
+    assert started == ["measim-eval"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("subject", ["greedy", "stochastic", "explicit"])
+def test_evaluation_holds_one_block_at_a_time(monkeypatch, subject):
+    # at B=720, D=100 a whole-set rollout and its k=3 draws peak near 6
+    # (B, 2D) states (7 for explicit); two 360-row blocks, one after the
+    # other, peak near half of that
+    b, d = 720, 100
+    imputer = build_imputer(d, "sinusoid", rng=np.random.default_rng(7))
+    subj = {"greedy": build_policy(d, rng=np.random.default_rng(6)),
+            "stochastic": build_policy(d, rng=np.random.default_rng(6)),
+            "explicit": ExplicitSelector(imputer, k=5)}[subject]
+    mode = "stochastic" if subject == "stochastic" else "greedy"
+    truth = np.random.default_rng(8).normal(size=(b, d))
+    one_state = b * 2 * d * 8
+    evaluate_in_helper(monkeypatch, False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eval_policy(subj, imputer, truth, 0.8, n_seeds=2, eval_mode=mode)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * one_state, peak / one_state
 
 
 def test_bad_eval_mode_rejected():

@@ -763,3 +763,13 @@ def test_explicit_baseline_runs_and_respects_masks():
     assert roll.terminal_masks.sum() == 6 * 3
     obs = roll.terminal_masks == 1.0
     assert np.array_equal(roll.terminal_values[obs], roll.x_bar[obs])
+
+
+def test_imputer_width_is_checked_before_the_run_directory_is_written(tmp_path):
+    cfg = tiny_config()
+    wide = build_imputer(D + 2, cfg.variant, noise_dim=cfg.noise_dim,
+                         hidden=cfg.imputer_hidden, rng=np.random.default_rng(0))
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"imputer dimension {D + 2} != dataset dimension {D}"):
+        joint_train(cfg, tiny_dataset(), imputer=wide, out_dir=out)
+    assert not out.exists()
