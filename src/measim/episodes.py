@@ -1,10 +1,11 @@
 """Sequential-measurement environment and batched episode rollouts.
 
 An episode reveals one coordinate of a complete vector per step, starting
-from nothing, for a fixed horizon.  Batched rollouts advance every episode
-in lockstep so each step is a single network forward; train-mode steps of a
-rollout that takes a gradient keep their state and actor tape so policy
-gradients can flow through the realized dropout.
+from nothing, for a fixed horizon.  Policy and baseline rollouts share one
+loop that advances every episode in lockstep, so each policy step is a
+single network forward; train-mode steps of a rollout that takes a gradient
+keep their state and actor tape so policy gradients can flow through the
+realized dropout.
 """
 
 from __future__ import annotations
@@ -61,33 +62,35 @@ class Rollout:
         return len(self.steps)
 
 
-def _decide(
-    policy: PolicyModel,
-    state: np.ndarray,
-    mode: str,
-    rng: np.random.Generator,
-    explore_e: float,
-    keep: bool,
-) -> StepBatch:
-    """One lockstep step's actions on state, with its gradient inputs if keep.
+def _roll(x_bar: np.ndarray, horizon: int, decide) -> Rollout:
+    """The one per-step loop: reveal one coordinate per row per step.
 
-    Whatever is not kept is released when this returns, before the next
-    step's forward allocates its own.
+    One (B, 2D) [values, masks] state advances in lockstep; decide(state)
+    returns each step's StepBatch.  A step that keeps its state owns it, and
+    the loop goes on in a copy; otherwise the state advances in place.
     """
-    masks = state[:, state.shape[1] // 2:]
-    scores, tape = nn.forward(policy.actor, state,
-                              mode="eval" if mode == "greedy" else "train", rng=rng)
-    if mode == "greedy":
-        actions = np.argmax(np.where(masks == 0.0, scores, -np.inf), axis=1)
-    else:
-        probs = masked_softmax(scores, masks)
-        exploring = mode == "explore"
-        sample_probs = flatten_explore(probs, masks, explore_e) if exploring else probs
-        actions = sample_actions(sample_probs, rng)
-        if keep:
-            return StepBatch(state, tape, probs, sample_probs, actions,
-                             explore_e=explore_e if exploring else 0.0)
-    return StepBatch(None, None, None, None, actions)
+    x_bar = np.asarray(x_bar, dtype=np.float64)
+    if x_bar.ndim != 2:
+        raise ValueError(f"x_bar must be a (batch, D) matrix, got shape {x_bar.shape}")
+    b, d = x_bar.shape
+    if not (1 <= horizon <= d):
+        raise ValueError(f"horizon must lie in [1, {d}], got {horizon}")
+    state = np.zeros((b, 2 * d))
+    out = Rollout(x_bar=x_bar)
+    rows = np.arange(b)
+    for _ in range(horizon):
+        step = decide(state)
+        actions = step.actions
+        if np.any(state[rows, d + actions] == 1.0):
+            raise RuntimeError(f"step {len(out.steps)} chose an already observed coordinate")
+        out.steps.append(step)
+        if step.state is not None:
+            state = state.copy()
+        state[rows, actions] = x_bar[rows, actions]
+        state[rows, d + actions] = 1.0
+    out.terminal_values = state[:, :d]
+    out.terminal_masks = state[:, d:]
+    return out
 
 
 def rollout_batch(
@@ -107,35 +110,31 @@ def rollout_batch(
 
     A step keeps its gradient inputs (state, tape, probs, sample_probs) only
     in a train-mode rollout with grad=True.  Otherwise (greedy, or
-    grad=False) it keeps its actions alone, and one state array advances in
-    place.  The RNG draws are the same either way, so the actions and the
-    terminal state are too.
+    grad=False) it keeps its actions alone.  The RNG draws are the same
+    either way, so the actions and the terminal state are too.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"mode must be one of {ROLLOUT_MODES}, got {mode!r}")
-    x_bar = np.atleast_2d(np.asarray(x_bar, dtype=np.float64))
-    b, d = x_bar.shape
-    if not (1 <= horizon <= d):
-        raise ValueError(f"horizon must lie in [1, {d}], got {horizon}")
+    exploring = mode == "explore"
 
-    # the (B, 2D) [values, masks] encoding is the actor input and, where
-    # kept, the step record's state and the critic input
-    state = np.zeros((b, 2 * d))
-    out = Rollout(x_bar=x_bar)
-    rows = np.arange(b)
-    keep = grad and mode != "greedy"
-    for _ in range(horizon):
-        step = _decide(policy, state, mode, rng, explore_e, keep)
-        out.steps.append(step)
-        if keep:
-            # recorded states are never written again; the next step gets its own
-            state = state.copy()
-        actions = step.actions
-        state[rows, actions] = x_bar[rows, actions]
-        state[rows, d + actions] = 1.0
-    out.terminal_values = state[:, :d]
-    out.terminal_masks = state[:, d:]
-    return out
+    def decide(state):
+        # whatever is not kept is released on return, before the next
+        # step's forward allocates its own
+        masks = state[:, state.shape[1] // 2:]
+        scores, tape = nn.forward(policy.actor, state,
+                                  mode="eval" if mode == "greedy" else "train", rng=rng)
+        if mode == "greedy":
+            actions = np.argmax(np.where(masks == 0.0, scores, -np.inf), axis=1)
+        else:
+            probs = masked_softmax(scores, masks)
+            sample_probs = flatten_explore(probs, masks, explore_e) if exploring else probs
+            actions = sample_actions(sample_probs, rng)
+            if grad:
+                return StepBatch(state, tape, probs, sample_probs, actions,
+                                 explore_e=explore_e if exploring else 0.0)
+        return StepBatch(None, None, None, None, actions)
+
+    return _roll(x_bar, horizon, decide)
 
 
 def topk_rmse(candidates: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
@@ -193,25 +192,18 @@ def rollout_with_selector(
     horizon: int,
     rng: np.random.Generator,
 ) -> Rollout:
-    """Tape-free rollout for baselines; records only the mask trajectory."""
-    x_bar = np.atleast_2d(np.asarray(x_bar, dtype=np.float64))
-    b, d = x_bar.shape
-    if not (1 <= horizon <= d):
-        raise ValueError(f"horizon must lie in [1, {d}], got {horizon}")
-    values = np.zeros((b, d))
-    masks = np.zeros((b, d))
-    out = Rollout(x_bar=x_bar)
-    rows = np.arange(b)
-    for _ in range(horizon):
-        actions = np.asarray(selector(values, masks, rng))
-        if np.any(masks[rows, actions] == 1.0):
-            raise RuntimeError("selector chose an already observed coordinate")
-        # selectors return fresh actions and keep no reference to the state
-        masks[rows, actions] = 1.0
-        values[rows, actions] = x_bar[rows, actions]
-    out.terminal_values = values
-    out.terminal_masks = masks
-    return out
+    """Tape-free rollout for baselines; each step keeps its actions alone.
+
+    The selector gets (values, masks, rng), the two halves of the state as
+    views, and returns fresh actions without keeping a reference to them.
+    """
+
+    def decide(state):
+        d = state.shape[1] // 2
+        actions = np.asarray(selector(state[:, :d], state[:, d:], rng))
+        return StepBatch(None, None, None, None, actions)
+
+    return _roll(x_bar, horizon, decide)
 
 
 def write_episode_trace(path, rollout: Rollout, rewards: np.ndarray) -> None:

@@ -170,12 +170,11 @@ class Tape:
     function of its output.
     """
 
-    __slots__ = ("version", "mode", "single", "inputs", "acts", "drop_masks", "output")
+    __slots__ = ("version", "mode", "inputs", "acts", "drop_masks", "output")
 
-    def __init__(self, version, mode, single, inputs, acts, drop_masks, output):
+    def __init__(self, version, mode, inputs, acts, drop_masks, output):
         self.version = version
         self.mode = mode
-        self.single = single
         self.inputs = inputs          # per-layer input, inputs[0] is the net input
         self.acts = acts              # per-layer post-activation (pre-dropout)
         self.drop_masks = drop_masks  # per-layer bool keep-mask or None
@@ -188,7 +187,7 @@ def forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, Tape]:
-    """Run the network on a vector or a (batch, in_dim) matrix.
+    """Run the network on a (batch, in_dim) matrix.
 
     In train mode each hidden layer with a positive dropout rate zeroes
     units with that probability and scales survivors by 1/(1-rate), so eval
@@ -196,11 +195,10 @@ def forward(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != net.in_dim:
-        raise ValueError(f"input has {a.shape[-1] if a.ndim else 0} features, net expects {net.in_dim}")
+        raise ValueError(f"input of shape {a.shape} is not a (batch, {net.in_dim}) matrix: "
+                         f"net expects {net.in_dim} features per row")
     if mode == "train" and rng is None and any(r > 0 for r in net.dropout_rates):
         raise ValueError("train-mode forward with dropout needs an rng")
 
@@ -219,9 +217,7 @@ def forward(
         drop_masks.append(keep)
         a = h
 
-    out = a[0] if single else a
-    tape = Tape(net.version, mode, single, inputs, acts, drop_masks, a)
-    return out, tape
+    return a, Tape(net.version, mode, inputs, acts, drop_masks, a)
 
 
 def forward_from(net: DenseNet, z0: np.ndarray) -> np.ndarray:
@@ -253,8 +249,6 @@ def backward(
             f"tape recorded at parameter version {tape.version}, net is at {net.version}"
         )
     up = np.asarray(upstream, dtype=np.float64)
-    if tape.single:
-        up = up[None, :]
     if up.shape != tape.output.shape:
         raise ValueError(f"upstream gradient shape {up.shape} != output shape {tape.output.shape}")
 
@@ -345,14 +339,16 @@ def optimizer_step(
 def grad_check(net: DenseNet, x: np.ndarray, loss_fn, h: float = 1e-5) -> float:
     """Max relative error between backward() and central finite differences.
 
-    loss_fn maps the network output to (scalar loss, dloss/doutput).  Runs
-    in eval mode so the loss surface is deterministic.
+    x is one input vector, run as a one-row batch; loss_fn maps the output
+    vector to (scalar loss, dloss/doutput).  Runs in eval mode so the loss
+    surface is deterministic.
     """
     if net.n_params() >= 100_000:
         raise ValueError(f"net has {net.n_params()} parameters; grad_check is for < 1e5")
+    x = np.reshape(x, (1, -1))
     out, tape = forward(net, x, mode="eval")
-    _, upstream = loss_fn(out)
-    analytic = backward(net, tape, upstream)
+    _, upstream = loss_fn(out[0])
+    analytic = backward(net, tape, np.reshape(upstream, out.shape))
 
     worst = 0.0
     for p, g in zip(net.params(), analytic):
@@ -361,9 +357,9 @@ def grad_check(net: DenseNet, x: np.ndarray, loss_fn, h: float = 1e-5) -> float:
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            lo_plus, _ = loss_fn(forward(net, x, mode="eval")[0])
+            lo_plus, _ = loss_fn(forward(net, x, mode="eval")[0][0])
             flat[j] = orig - h
-            lo_minus, _ = loss_fn(forward(net, x, mode="eval")[0])
+            lo_minus, _ = loss_fn(forward(net, x, mode="eval")[0][0])
             flat[j] = orig
             numeric = (lo_plus - lo_minus) / (2.0 * h)
             err = abs(gflat[j] - numeric) / max(1e-8, abs(gflat[j]) + abs(numeric))

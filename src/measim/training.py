@@ -365,7 +365,7 @@ def _apply_actor_terms(policy: PolicyModel, terms: list[tuple[float, list[np.nda
 class _E2Chain:
     """The joint loop's E2 chain: roll the E2 set, then form its actor term.
 
-    Per iteration: start(policy, xbar, i), terminal_state() for the E2
+    Per iteration: start(xbar, i), terminal_state() for the E2
     rewards, reward(r2), then gradient().  The term reads the critic before
     its update, so reward() forms it at once.  This runs the chain in the
     training process; _E2Helper runs the same object in a helper process.
@@ -378,8 +378,8 @@ class _E2Chain:
         self._roll: Rollout | None = None
         self._grad: list[np.ndarray] | None = None
 
-    def start(self, policy: PolicyModel, xbar: np.ndarray, i: int) -> None:
-        """Take iteration i's E2 set; policy is the one this chain rolls."""
+    def start(self, xbar: np.ndarray, i: int) -> None:
+        """Take iteration i's E2 set, to roll under self.policy."""
         self._job = (xbar, i)
 
     def terminal_state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +419,7 @@ def _serve_e2(chain: _E2Chain, request):
         for p, src in zip(net.params(), params):
             p[...] = src
         net.version += 1
-    chain.start(policy, xbar, i)
+    chain.start(xbar, i)
     return chain.terminal_state()
 
 
@@ -427,10 +427,13 @@ class _E2Helper:
     """The joint loop's E2 chain in a forked helper process, beside E1."""
 
     def __init__(self, chain: _E2Chain):
+        # in this process the chain's policy is the one being trained
+        self._policy = chain.policy
         self._helper = helper.Helper("measim-e2", functools.partial(_serve_e2, chain))
 
-    def start(self, policy: PolicyModel, xbar: np.ndarray, i: int) -> None:
+    def start(self, xbar: np.ndarray, i: int) -> None:
         """Roll iteration i's E2 set under the policy's current parameters."""
+        policy = self._policy
         self._helper.send(("roll", policy.actor.params(), policy.critic.params(), xbar, i))
 
     def terminal_state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -538,7 +541,7 @@ def joint_train(
             # (1) one generated complete vector per missing example
             xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
             if e2 is not None:
-                e2.start(policy, xbar, i)
+                e2.start(xbar, i)
 
             # (2) exploration episodes, rewarded by the current imputer
             roll1 = rollout_batch(policy, xbar, horizon, "explore",

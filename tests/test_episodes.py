@@ -230,13 +230,20 @@ def test_greedy_rollout_deterministic():
 
 def test_rollout_validation():
     policy = make_policy(5)
-    x_bar = np.zeros(5)
+    x_bar = np.zeros((1, 5))
     with pytest.raises(ValueError):
         rollout_batch(policy, x_bar, 6, "stochastic", np.random.default_rng(0))
     with pytest.raises(ValueError):
         rollout_batch(policy, x_bar, 0, "stochastic", np.random.default_rng(0))
     with pytest.raises(ValueError):
         rollout_batch(policy, x_bar, 2, "thompson", np.random.default_rng(0))
+    # one episode is a one-row batch, not a vector
+    with pytest.raises(ValueError, match=r"\(batch, D\) matrix, got shape \(5,\)"):
+        rollout_batch(policy, np.zeros(5), 2, "stochastic", np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"\(batch, D\) matrix, got shape \(5,\)"):
+        rollout_with_selector(UniformSelector(), np.zeros(5), 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"horizon must lie in \[1, 5\], got 6"):
+        rollout_with_selector(UniformSelector(), x_bar, 6, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------------- reward
@@ -328,6 +335,18 @@ def test_uniform_selector_full_horizon_is_permutation():
     assert np.array_equal(roll.terminal_masks, np.ones((50, d)))
 
 
+def test_explicit_baseline_runs_and_respects_masks():
+    d = 8
+    rng = np.random.default_rng(2)
+    imputer = build_imputer(d, "sinusoid", noise_dim=3, hidden=(8,), rng=rng)
+    data = rng.normal(size=(6, d))
+    roll = rollout_with_selector(ExplicitSelector(imputer, k=4), data, 3,
+                                 np.random.default_rng(3))
+    assert roll.terminal_masks.sum() == 6 * 3
+    obs = roll.terminal_masks == 1.0
+    assert np.array_equal(roll.terminal_values[obs], roll.x_bar[obs])
+
+
 def test_explicit_selector_zero_variance_tie_breaks_low():
     d = 5
     model = constant_imputer(d, "sinusoid", 0.7)
@@ -373,9 +392,68 @@ def test_selector_rollout_rejects_observed_choice():
         def __call__(self, values, masks, rng):
             return np.zeros(masks.shape[0], dtype=int)
 
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="step 1 chose an already observed coordinate"):
         rollout_with_selector(BadSelector(), np.zeros((2, 4)), 2,
                               np.random.default_rng(35))
+
+
+def test_selector_rollout_reports_its_horizon(tmp_path):
+    # baseline steps keep their actions, as a grad=False policy step does
+    b, d, t = 3, 6, 4
+    x_bar = np.random.default_rng(39).normal(size=(b, d))
+    roll = rollout_with_selector(UniformSelector(), x_bar, t, np.random.default_rng(40))
+    assert roll.horizon == t
+    rebuilt = np.zeros((b, d))
+    for s in roll.steps:
+        assert all(x is None for x in (s.state, s.tape, s.probs, s.sample_probs))
+        assert s.actions.shape == (b,)
+        rebuilt[np.arange(b), s.actions] = 1.0
+    assert np.array_equal(rebuilt, roll.terminal_masks)
+    path = tmp_path / "episodes.csv"
+    write_episode_trace(path, roll, np.zeros(b))
+    lines = path.read_text().strip().split("\n")
+    assert len(lines) == 1 + t * b
+
+
+def separate_array_selector_rollout(selector, x_bar, horizon, rng):
+    """Reference: the baseline loop as it stood before policy and baseline
+    rollouts shared one loop, with separate values and masks arrays.
+
+    Returns the per-step actions and the terminal values and masks.
+    """
+    b, d = x_bar.shape
+    values = np.zeros((b, d))
+    masks = np.zeros((b, d))
+    rows = np.arange(b)
+    steps = []
+    for _ in range(horizon):
+        actions = np.asarray(selector(values, masks, rng))
+        if np.any(masks[rows, actions] == 1.0):
+            raise RuntimeError("selector chose an already observed coordinate")
+        masks[rows, actions] = 1.0
+        values[rows, actions] = x_bar[rows, actions]
+        steps.append(actions)
+    return steps, values, masks
+
+
+@pytest.mark.parametrize("kind", ["uniform", "explicit"])
+def test_selector_rollout_matches_separate_array_loop_bitwise(kind):
+    b, d = 360, 100
+    horizon = horizon_for(d, 0.8)
+    model = build_imputer(d, "sinusoid", rng=np.random.default_rng(41))
+    x_bar = np.sin(np.linspace(0.0, 6.0, d) + np.random.default_rng(42).uniform(
+        0.0, 2 * np.pi, size=(b, 1)))
+    selector = UniformSelector() if kind == "uniform" else ExplicitSelector(model, k=3)
+    rng_ref, rng_new = np.random.default_rng(43), np.random.default_rng(43)
+    ref_steps, ref_values, ref_masks = separate_array_selector_rollout(
+        selector, x_bar, horizon, rng_ref)
+    roll = rollout_with_selector(selector, x_bar, horizon, rng_new)
+    assert roll.horizon == horizon
+    for ref, s in zip(ref_steps, roll.steps):
+        assert np.array_equal(ref, s.actions)
+    assert np.array_equal(ref_values.view(np.uint64), roll.terminal_values.view(np.uint64))
+    assert np.array_equal(ref_masks.view(np.uint64), roll.terminal_masks.view(np.uint64))
+    assert rng_ref.bit_generator.state == rng_new.bit_generator.state
 
 
 # --------------------------------------------------------------------- traces

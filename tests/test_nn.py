@@ -32,22 +32,22 @@ def test_identity_layer_passthrough():
     net = nn.DenseNet([2, 2])
     net.weights[0][:] = np.eye(2)
     net.biases[0][:] = 0.0
-    out, _ = nn.forward(net, np.array([0.3, -0.7]))
-    assert np.array_equal(out, np.array([0.3, -0.7]))
+    out, _ = nn.forward(net, np.array([[0.3, -0.7]]))
+    assert np.array_equal(out, np.array([[0.3, -0.7]]))
 
 
 def test_affine_1x1():
     net = nn.DenseNet([1, 1])
     net.weights[0][:] = 2.0
     net.biases[0][:] = 1.0
-    out, _ = nn.forward(net, np.array([3.0]))
-    assert out[0] == pytest.approx(7.0)
+    out, _ = nn.forward(net, np.array([[3.0]]))
+    assert out[0, 0] == pytest.approx(7.0)
 
 
 def test_zero_dropout_train_equals_eval():
     rng = np.random.default_rng(3)
     net = nn.DenseNet([4, 8, 3], dropout_rates=0.0, rng=rng)
-    x = rng.normal(size=4)
+    x = rng.normal(size=(1, 4))
     out_train, _ = nn.forward(net, x, mode="train", rng=np.random.default_rng(1))
     out_eval, _ = nn.forward(net, x, mode="eval")
     assert np.array_equal(out_train, out_eval)
@@ -56,7 +56,10 @@ def test_zero_dropout_train_equals_eval():
 def test_dimension_mismatch_rejected():
     net = nn.DenseNet([3, 2])
     with pytest.raises(ValueError, match="expects 3"):
-        nn.forward(net, np.zeros(4))
+        nn.forward(net, np.zeros((1, 4)))
+    # a vector is not a one-row batch
+    with pytest.raises(ValueError, match=r"shape \(3,\) is not a \(batch, 3\) matrix"):
+        nn.forward(net, np.zeros(3))
 
 
 def test_backward_hand_example():
@@ -65,7 +68,7 @@ def test_backward_hand_example():
     net = nn.DenseNet([1, 1])
     net.weights[0][:] = 1.0
     net.biases[0][:] = 0.0
-    out, tape = nn.forward(net, np.array([2.0]))
+    out, tape = nn.forward(net, np.array([[2.0]]))
     _, upstream = half_square_loss(out)
     grads = nn.backward(net, tape, upstream)
     assert grads[0][0, 0] == pytest.approx(4.0)
@@ -75,7 +78,7 @@ def test_backward_hand_example():
 def test_zero_upstream_zero_grads():
     rng = np.random.default_rng(5)
     net = nn.DenseNet([3, 5, 2], rng=rng)
-    out, tape = nn.forward(net, rng.normal(size=3))
+    out, tape = nn.forward(net, rng.normal(size=(1, 3)))
     grads = nn.backward(net, tape, np.zeros_like(out))
     assert all(np.all(g == 0.0) for g in grads)
 
@@ -86,7 +89,7 @@ def test_backward_matches_finite_differences(hidden_act, out_act):
     rng = np.random.default_rng(11)
     net = nn.DenseNet([5, 7, 6, 3], hidden_activation=hidden_act,
                       output_activation=out_act, rng=rng)
-    x = rng.normal(size=5)
+    x = rng.normal(size=(1, 5))
     out, tape = nn.forward(net, x)
     _, upstream = half_square_loss(out)
     analytic = nn.backward(net, tape, upstream)
@@ -99,7 +102,7 @@ def test_backward_matches_finite_differences(hidden_act, out_act):
 def test_stale_tape_detected():
     rng = np.random.default_rng(7)
     net = nn.DenseNet([2, 3, 1], rng=rng)
-    out, tape = nn.forward(net, np.array([0.5, -0.5]))
+    out, tape = nn.forward(net, np.array([[0.5, -0.5]]))
     net.step([np.zeros_like(p) for p in net.params()], nn.OptimizerState("sgd", lr=0.1))
     with pytest.raises(nn.StaleTapeError):
         nn.backward(net, tape, np.ones_like(out))
@@ -113,8 +116,8 @@ def test_batched_forward_matches_rowwise():
     xs = rng.normal(size=(5, 4))
     batch_out, _ = nn.forward(net, xs)
     for i in range(5):
-        row_out, _ = nn.forward(net, xs[i])
-        assert np.allclose(batch_out[i], row_out, rtol=1e-13, atol=1e-13)
+        row_out, _ = nn.forward(net, xs[i:i + 1])
+        assert np.allclose(batch_out[i], row_out[0], rtol=1e-13, atol=1e-13)
 
 
 def test_batched_backward_sums_rows():
@@ -126,8 +129,8 @@ def test_batched_backward_sums_rows():
     grads = nn.backward(net, tape, up)
     summed = [np.zeros_like(g) for g in grads]
     for i in range(4):
-        _, t = nn.forward(net, xs[i])
-        gi = nn.backward(net, t, up[i])
+        _, t = nn.forward(net, xs[i:i + 1])
+        gi = nn.backward(net, t, up[i:i + 1])
         for s, g in zip(summed, gi):
             s += g
     for a, b in zip(grads, summed):
@@ -239,21 +242,21 @@ def test_dropout_expectation_matches_eval():
     rng = np.random.default_rng(41)
     net = nn.DenseNet([3, 16, 2], hidden_activation="relu",
                       dropout_rates=[0.3], rng=rng)
-    x = rng.normal(size=3)
+    x = rng.normal(size=(1, 3))
     eval_out, _ = nn.forward(net, x)
     draws = 10_000
     drop_rng = np.random.default_rng(43)
     samples = np.empty((draws, 2))
     for i in range(draws):
-        samples[i], _ = nn.forward(net, x, mode="train", rng=drop_rng)
+        samples[i] = nn.forward(net, x, mode="train", rng=drop_rng)[0][0]
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / np.sqrt(draws)
-    assert np.all(np.abs(mean - eval_out) <= 3.0 * stderr + 1e-12)
+    assert np.all(np.abs(mean - eval_out[0]) <= 3.0 * stderr + 1e-12)
 
 
 def test_dropout_zeroes_and_scales():
     net = nn.DenseNet([1, 4, 1], dropout_rates=[0.5], rng=np.random.default_rng(47))
-    _, tape = nn.forward(net, np.array([1.0]), mode="train", rng=np.random.default_rng(48))
+    _, tape = nn.forward(net, np.array([[1.0]]), mode="train", rng=np.random.default_rng(48))
     keep = tape.drop_masks[0]
     assert keep is not None and keep.dtype == bool
     # survivors scaled by 1/(1-rate): layer-1 input equals act * keep * 2

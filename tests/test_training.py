@@ -10,12 +10,9 @@ import pytest
 
 from measim import helper, rngs, training
 from measim.episodes import (
-    ExplicitSelector,
     RewardConfig,
-    UniformSelector,
     horizon_for,
     rollout_batch,
-    rollout_with_selector,
     terminal_rewards_batch,
 )
 from measim.imputer import adapt_step, build_imputer, impute_batch, load_imputer, pretrain
@@ -732,37 +729,6 @@ def test_run_training_full_mode_skips_finetune():
     a = joint_train(cfg, ds, imputer=pre)
     b = run_training(cfg, ds, imputer=pre)
     assert_params_equal(a[1].net, b[1].net)
-
-
-# ---------------------------------------------------------------------------
-# baselines
-
-
-def test_uninform_full_horizon_covers_everything():
-    data = np.zeros((5, D))
-    roll = rollout_with_selector(UniformSelector(), data, D, np.random.default_rng(0))
-    assert np.array_equal(roll.terminal_masks, np.ones((5, D)))
-
-
-def test_uninform_marginals_match_subset_sampling():
-    b, t = 4000, 2
-    roll = rollout_with_selector(UniformSelector(), np.zeros((b, D)), t,
-                                 np.random.default_rng(1))
-    freq = roll.terminal_masks.mean(axis=0)
-    p = t / D
-    bound = 3.0 * math.sqrt(p * (1 - p) / b)
-    assert np.all(np.abs(freq - p) < bound)
-
-
-def test_explicit_baseline_runs_and_respects_masks():
-    rng = np.random.default_rng(2)
-    imputer = build_imputer(D, "sinusoid", noise_dim=3, hidden=(8,), rng=rng)
-    data = rng.normal(size=(6, D))
-    roll = rollout_with_selector(ExplicitSelector(imputer, k=4), data, 3,
-                                 np.random.default_rng(3))
-    assert roll.terminal_masks.sum() == 6 * 3
-    obs = roll.terminal_masks == 1.0
-    assert np.array_equal(roll.terminal_values[obs], roll.x_bar[obs])
 
 
 def test_imputer_width_is_checked_before_the_run_directory_is_written(tmp_path):
