@@ -157,6 +157,22 @@ def require_run_files(run_dir) -> dict:
     return paths
 
 
+def _load_run(args):
+    """The --run directory's config, policy and imputer, and the --data test
+    set, checked to share one width and to carry ground truth."""
+    paths = require_run_files(args.run)
+    cfg = load_config(paths["config"])
+    policy = load_policy(paths["actor"], paths["critic"])
+    imputer = load_imputer(paths["imputer"])
+    ds = load_dataset_csv(args.data)
+    require_same_width(("policy", paths["actor"], policy.d),
+                       ("imputer", paths["imputer"], imputer.d),
+                       ("data", args.data, ds.dim))
+    if ds.ground_truth is None:
+        raise CliError(f"test data has no ground-truth columns: {args.data}")
+    return cfg, policy, imputer, ds
+
+
 def _print_report(report: EvalReport) -> None:
     for r in report.rows:
         print(f"{r.method} rate={r.eval_rate:g} seed={r.seed} "
@@ -248,16 +264,7 @@ def cmd_train_joint(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    paths = require_run_files(args.run)
-    cfg = load_config(paths["config"])
-    policy = load_policy(paths["actor"], paths["critic"])
-    imputer = load_imputer(paths["imputer"])
-    ds = load_dataset_csv(args.data)
-    require_same_width(("policy", paths["actor"], policy.d),
-                       ("imputer", paths["imputer"], imputer.d),
-                       ("data", args.data, ds.dim))
-    if ds.ground_truth is None:
-        raise CliError(f"test data has no ground-truth columns: {args.data}")
+    cfg, policy, imputer, ds = _load_run(args)
     rate = args.missing_rate if args.missing_rate is not None else cfg.missing_rate
     report = eval_policy(policy, imputer, ds, rate, k=args.k, n_seeds=args.n_seeds,
                          seed=args.seed, eval_mode=args.mode,
@@ -271,16 +278,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     check_explicit_k(args.methods, args.explicit_k)
-    paths = require_run_files(args.run)
-    cfg = load_config(paths["config"])
-    policy = load_policy(paths["actor"], paths["critic"])
-    imputer = load_imputer(paths["imputer"])
-    ds = load_dataset_csv(args.data)
-    require_same_width(("policy", paths["actor"], policy.d),
-                       ("imputer", paths["imputer"], imputer.d),
-                       ("data", args.data, ds.dim))
-    if ds.ground_truth is None:
-        raise CliError(f"test data has no ground-truth columns: {args.data}")
+    cfg, policy, imputer, ds = _load_run(args)
     subjects = {
         "proposed": lambda: policy,
         "uninform": UniformSelector,

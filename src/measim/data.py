@@ -24,7 +24,6 @@ PHASE_RANGE = (0.0, 2.0 * np.pi)
 FREQUENCY_RANGE = (0.5, 2.0)
 
 IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 # raw MNIST image files: the (train, test) file names, see find_mnist_file
 MNIST_STEMS = ("train-images-idx3-ubyte", "t10k-images-idx3-ubyte")
@@ -101,11 +100,8 @@ def gen_sinusoid_dataset(
     return train, test
 
 
-def load_mnist_idx(images_path, labels_path=None):
-    """Images from an IDX file as (n, 784) float64 in [0,1]; labels optional.
-
-    Returns images, or (images, labels) when labels_path is given.
-    """
+def load_mnist_idx(images_path) -> np.ndarray:
+    """Images from an IDX file as (n, 784) float64 in [0,1]."""
     with open(images_path, "rb") as f:
         raw = f.read()
     if len(raw) < 16:
@@ -122,26 +118,7 @@ def load_mnist_idx(images_path, labels_path=None):
             f"{count} images of {rows}x{cols}"
         )
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).astype(np.float64) / 255.0
-    images = pixels.reshape(count, rows * cols)
-
-    if labels_path is None:
-        return images
-
-    with open(labels_path, "rb") as f:
-        raw_l = f.read()
-    if len(raw_l) < 8:
-        raise IdxFormatError(f"{labels_path}: truncated header ({len(raw_l)} bytes)")
-    magic_l, count_l = struct.unpack(">II", raw_l[:8])
-    if magic_l != IDX_LABELS_MAGIC:
-        raise IdxFormatError(
-            f"{labels_path}: bad magic 0x{magic_l:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    if len(raw_l) != 8 + count_l:
-        raise IdxFormatError(f"{labels_path}: {len(raw_l)} bytes for {count_l} labels")
-    if count_l != count:
-        raise IdxFormatError(f"{count} images but {count_l} labels")
-    labels = np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
-    return images, labels
+    return pixels.reshape(count, rows * cols)
 
 
 def find_mnist_file(directory, stem: str) -> str:
@@ -162,13 +139,6 @@ def write_idx_images(path, images: np.ndarray, rows: int = 28, cols: int = 28) -
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
         f.write(u8.tobytes())
-
-
-def write_idx_labels(path, labels) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
 
 
 def crop_resize_12(image: np.ndarray) -> np.ndarray:

@@ -120,13 +120,14 @@ def eval_policy(
     key.  A seed's errors are means over its rows, the blocks taken in row
     order, and its EvalRow.wall_time is the sum of its task times.
 
-    With two tasks or more and a CPU core the BLAS leaves free (see
-    helper.core_for_helper), a forked helper process runs the odd tasks
-    while this one runs the even ones, and only per-row errors and task
-    times cross the pipe.  The helper computes under the same numeric
-    environment, so the report is bit-identical to running every task here,
-    which is what happens otherwise.  Either way a process holds one block's
-    rollout and draws at a time.
+    With two tasks or more, a helper (helper.start) runs the odd tasks and
+    this process the even ones.  Where the BLAS leaves a CPU core free the
+    helper is a forked process that runs them beside this one, and only
+    per-row errors and task times cross the pipe; otherwise it runs them
+    here, before the even ones.  Each task's bits depend only on its key and
+    the forked process computes under the same numeric environment, so the
+    report is bit-identical either way.  Either way a process holds one
+    block's rollout and draws at a time.
     """
     if eval_mode not in EVAL_MODES:
         raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {eval_mode!r}")
@@ -163,11 +164,11 @@ def eval_policy(
         return [run_task(s, j) for s, j in tasks]
 
     tasks = [(s, j) for s in range(n_seeds) for j in range(len(blocks))]
-    if len(tasks) < 2 or not helper.core_for_helper():
+    if len(tasks) < 2:
         results = run_tasks(tasks)
     else:
         results = [None] * len(tasks)
-        with helper.Helper("measim-eval", run_tasks) as side:
+        with helper.start("measim-eval", run_tasks) as side:
             side.send(tasks[1::2])
             results[::2] = run_tasks(tasks[::2])
             results[1::2] = side.recv()

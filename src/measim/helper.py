@@ -1,15 +1,18 @@
-"""One forked helper process beside the main one, for work that can overlap.
+"""A helper beside the main process, for work that can overlap.
 
-The joint loop runs its E2 chain in one (training._E2Helper) and evaluation
-half of its (seed, row block) tasks (evaluate.eval_policy).  Forking gives
-the helper this process's memory, so models and data need not cross the
-pipe, and its loaded NumPy and BLAS, so it computes under the same numeric
-environment and its bits are the same as computing here.  Callers start one
-only where core_for_helper() holds.
+The joint loop sends its E2 chain to one (training.joint_train) and
+evaluation half of its (seed, row block) tasks (evaluate.eval_policy).
+start() is the one place that decides how the helper runs: a forked process
+where core_for_helper() holds, else a stand-in that answers each request in
+this process.  Callers write one code path for both.  Forking gives the
+helper this process's memory, so models and data need not cross the pipe,
+and its loaded NumPy and BLAS, so it computes under the same numeric
+environment and its bits are the same as computing here.
 """
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import os
 import signal
@@ -106,3 +109,41 @@ class Helper:
         self._proc.join(5.0)
         return RuntimeError(
             f"helper process {self._proc.name} exited with code {self._proc.exitcode}")
+
+
+class _InProcess:
+    """The stand-in for a Helper where no core is free: send() computes the
+    reply at once, here, and recv() returns the oldest one.  A handler's
+    exception is raised by send()."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self._replies = collections.deque()
+
+    def send(self, request) -> None:
+        self._replies.append(self._handle(request))
+
+    def recv(self):
+        return self._replies.popleft()
+
+    def close(self) -> None:
+        self._replies.clear()
+
+    def __enter__(self) -> "_InProcess":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def start(name: str, handle):
+    """A helper answering each request with handle(request): a forked Helper
+    where core_for_helper() holds, else one that computes in this process.
+
+    Both answer in the order the requests were sent.  The forked one computes
+    while this process does; the other computes each reply inside send(), so
+    a reply reads the state of this process when it was asked for.
+    """
+    if core_for_helper():
+        return Helper(name, handle)
+    return _InProcess(handle)

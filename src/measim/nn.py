@@ -157,11 +157,6 @@ class DenseNet:
         optimizer_step(self.params(), grads, state)
         self.version += 1
 
-    def assert_finite(self) -> None:
-        for i, p in enumerate(self.params()):
-            if not np.all(np.isfinite(p)):
-                raise FloatingPointError(f"non-finite parameter at index {i}")
-
 
 class Tape:
     """Activations and dropout masks recorded by one forward pass.
@@ -292,7 +287,7 @@ def optimizer_step(
     params: list[np.ndarray],
     grads: list[np.ndarray],
     state: OptimizerState,
-) -> tuple[list[np.ndarray], OptimizerState]:
+) -> None:
     """Update parameters in place; rejects non-finite gradients up front."""
     if len(params) != len(grads):
         raise ValueError(f"{len(params)} params but {len(grads)} grads")
@@ -306,7 +301,7 @@ def optimizer_step(
     if state.kind == "sgd":
         for p, g in zip(params, grads):
             p -= state.lr * g
-        return params, state
+        return
 
     if state.m is None:
         state.m = [np.zeros_like(p) for p in params]
@@ -333,7 +328,6 @@ def optimizer_step(
         den += state.eps
         step /= den
         p -= step
-    return params, state
 
 
 def grad_check(net: DenseNet, x: np.ndarray, loss_fn, h: float = 1e-5) -> float:

@@ -247,20 +247,15 @@ def reinforce_update(
     steps: list[StepBatch],
     rewards: np.ndarray,
     cfg: ReinforceConfig,
-) -> dict:
+) -> None:
     """Critic fit + one plain gradient step on the actor surrogate.
 
     Advantages use the critic as it stood before this update.
     """
     adv = advantages_for(model, steps, rewards, cfg.normalize_advantages)
-    critic_loss = critic_update(model, steps, rewards)
+    critic_update(model, steps, rewards)
     grads = actor_gradient(model, steps, adv)
     model.actor.step(grads, nn.OptimizerState(kind="sgd", lr=cfg.beta))
-    return {
-        "mean_reward": float(np.mean(rewards)),
-        "critic_loss": critic_loss,
-        "actor_grad_norm": float(np.sqrt(sum((g ** 2).sum() for g in grads))),
-    }
 
 
 def save_policy(model: PolicyModel, actor_path, critic_path) -> None:

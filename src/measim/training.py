@@ -19,7 +19,6 @@ fine-tuned afterwards via finetune_after.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -362,91 +361,40 @@ def _apply_actor_terms(policy: PolicyModel, terms: list[tuple[float, list[np.nda
         policy.actor.version += 1
 
 
-class _E2Chain:
-    """The joint loop's E2 chain: roll the E2 set, then form its actor term.
+class _E2Handler:
+    """The joint loop's E2 chain, answering one request at a time.
 
-    Per iteration: start(xbar, i), terminal_state() for the E2
-    rewards, reward(r2), then gradient().  The term reads the critic before
-    its update, so reward() forms it at once.  This runs the chain in the
-    training process; _E2Helper runs the same object in a helper process.
+    ("roll", actor params, critic params, xbar, i) loads the parameters into
+    self.policy, rolls iteration i's E2 set and returns its terminal state;
+    ("reward", r2) returns the set's actor-gradient term.  The term reads the
+    critic before its update, so the loop sends the rewards before
+    critic_update.  In a forked helper self.policy is the helper's copy of
+    the policy; in the training process it is the policy being trained, and
+    the load copies its parameters onto themselves.
     """
 
     def __init__(self, policy: PolicyModel, horizon: int, seed: int, normalize: bool):
         self.policy = policy
         self._horizon, self._seed, self._normalize = horizon, seed, normalize
-        self._job: tuple[np.ndarray, int] | None = None
         self._roll: Rollout | None = None
-        self._grad: list[np.ndarray] | None = None
 
-    def start(self, xbar: np.ndarray, i: int) -> None:
-        """Take iteration i's E2 set, to roll under self.policy."""
-        self._job = (xbar, i)
-
-    def terminal_state(self) -> tuple[np.ndarray, np.ndarray]:
-        xbar, i = self._job
-        self._roll = rollout_batch(self.policy, xbar, self._horizon, "stochastic",
+    def __call__(self, request):
+        kind, *args = request
+        policy = self.policy
+        if kind == "reward":
+            (rewards,) = args
+            # spent once its term is formed: released before the next rollout
+            roll, self._roll = self._roll, None
+            adv = advantages_for(policy, roll.steps, rewards, self._normalize)
+            return actor_gradient(policy, roll.steps, adv)
+        actor_params, critic_params, xbar, i = args
+        for net, params in ((policy.actor, actor_params), (policy.critic, critic_params)):
+            for p, src in zip(net.params(), params):
+                p[...] = src
+            net.version += 1
+        self._roll = rollout_batch(policy, xbar, self._horizon, "stochastic",
                                    rngs.substream(self._seed, rngs.EPISODE_2, i))
         return self._roll.terminal_values, self._roll.terminal_masks
-
-    def reward(self, rewards: np.ndarray) -> None:
-        adv = advantages_for(self.policy, self._roll.steps, rewards, self._normalize)
-        self._grad = actor_gradient(self.policy, self._roll.steps, adv)
-        # spent: release before the next rollout records its own
-        self._roll = None
-
-    def gradient(self) -> list[np.ndarray]:
-        grad, self._grad = self._grad, None
-        return grad
-
-    def close(self) -> None:
-        pass
-
-
-def _serve_e2(chain: _E2Chain, request):
-    """One E2 request, answered in the helper process.
-
-    ("roll", actor params, critic params, xbar, i) loads the parameters into
-    the helper's copy of the policy, rolls E2 and returns its terminal state;
-    ("reward", r2) returns the actor-gradient term.
-    """
-    kind, *args = request
-    if kind == "reward":
-        chain.reward(*args)
-        return chain.gradient()
-    actor_params, critic_params, xbar, i = args
-    policy = chain.policy
-    for net, params in ((policy.actor, actor_params), (policy.critic, critic_params)):
-        for p, src in zip(net.params(), params):
-            p[...] = src
-        net.version += 1
-    chain.start(xbar, i)
-    return chain.terminal_state()
-
-
-class _E2Helper:
-    """The joint loop's E2 chain in a forked helper process, beside E1."""
-
-    def __init__(self, chain: _E2Chain):
-        # in this process the chain's policy is the one being trained
-        self._policy = chain.policy
-        self._helper = helper.Helper("measim-e2", functools.partial(_serve_e2, chain))
-
-    def start(self, xbar: np.ndarray, i: int) -> None:
-        """Roll iteration i's E2 set under the policy's current parameters."""
-        policy = self._policy
-        self._helper.send(("roll", policy.actor.params(), policy.critic.params(), xbar, i))
-
-    def terminal_state(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._helper.recv()
-
-    def reward(self, rewards: np.ndarray) -> None:
-        self._helper.send(("reward", rewards))
-
-    def gradient(self) -> list[np.ndarray]:
-        return self._helper.recv()
-
-    def close(self) -> None:
-        self._helper.close()
 
 
 def pretrain_imputer(cfg: JointConfig, dataset: MissingDataset) -> tuple[ImputerModel, list[float]]:
@@ -482,15 +430,18 @@ def joint_train(
     policy and step the real imputer on its terminals.  phi_new is discarded
     every iteration.
 
-    With an E2 set (ablation "full" and at least one iteration) and a CPU
-    core the BLAS leaves free (it is pinned to one thread and two CPUs are
-    usable), a forked helper process runs the E2 chain, the rollout and its
-    actor-gradient term under the pre-update actor and critic, while this
-    process rolls and rewards E1, forms phi_new, rewards E2 and fits the
-    critic.  The helper computes under the same numeric environment, so
-    every output bit is the same as running the chain here, which is what
-    happens when no core is free.  It is started before the first iteration
-    and stopped on every exit, error and interrupt included.
+    With an E2 set (ablation "full" and at least one iteration), the E2
+    chain, the rollout and its actor-gradient term under the pre-update actor
+    and critic, goes to a helper (helper.start).  Where the BLAS leaves a CPU
+    core free (it is pinned to one thread and two CPUs are usable) the helper
+    is a forked process that runs the chain while this process rolls and
+    rewards E1, forms phi_new, rewards E2 and fits the critic.  Otherwise it
+    runs the chain here, each request as it is sent: E2 rolls before E1, and
+    its term is formed before the critic fit.  Every draw is keyed by its
+    substream and the forked process computes under the same numeric
+    environment, so every output bit is the same either way.  The helper is
+    started before the first iteration and stopped on every exit, error and
+    interrupt included.
     """
     n = len(dataset)
     if n == 0:
@@ -525,13 +476,12 @@ def joint_train(
     last_rewards: np.ndarray | None = None
 
     # the E2 set (ablation "full" only) reads nothing E1 produces except its
-    # reward model, so where a core is free its chain runs beside E1 in a
-    # helper process
+    # reward model, so its chain goes to a helper, which runs it beside E1
+    # where a core is free
     e2 = None
     if cfg.ablation == "full" and cfg.iterations > 0:
-        e2 = _E2Chain(policy, horizon, seed, cfg.normalize_advantages)
-        if helper.core_for_helper():
-            e2 = _E2Helper(e2)
+        e2 = helper.start("measim-e2", _E2Handler(policy, horizon, seed,
+                                                  cfg.normalize_advantages))
     try:
         for i in range(cfg.iterations):
             idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
@@ -541,7 +491,7 @@ def joint_train(
             # (1) one generated complete vector per missing example
             xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
             if e2 is not None:
-                e2.start(xbar, i)
+                e2.send(("roll", policy.actor.params(), policy.critic.params(), xbar, i))
 
             # (2) exploration episodes, rewarded by the current imputer
             roll1 = rollout_batch(policy, xbar, horizon, "explore",
@@ -559,13 +509,13 @@ def joint_train(
                                         rngs.substream(seed, rngs.ADAPT_META, i, 0),
                                         rngs.substream(seed, rngs.ADAPT_META, i, 1))
                 # (4) unflattened episodes, rewarded by the adapted imputer
-                terminal_values, terminal_masks = e2.terminal_state()
+                terminal_values, terminal_masks = e2.recv()
                 roll2 = Rollout(x_bar=xbar, terminal_values=terminal_values,
                                 terminal_masks=terminal_masks)
                 r2 = terminal_rewards_batch(phi_new, roll2, reward_cfg,
                                             rngs.substream(seed, rngs.REWARD_2, i))
                 _require_finite(r2, "reward", i)
-                e2.reward(r2)
+                e2.send(("reward", r2))
 
             # (5) two-term actor step; advantages use the critic before its
             # update, for the E2 term too
@@ -574,7 +524,7 @@ def joint_train(
             critic_loss = critic_update(policy, roll1.steps, r1)
             _require_finite(critic_loss, "loss", i)
             if e2 is not None:
-                terms.append((cfg.beta_prime, e2.gradient()))
+                terms.append((cfg.beta_prime, e2.recv()))
             _apply_actor_terms(policy, terms)
             # E1's steps, tapes and critic memos are spent: release them before
             # E3 records its own

@@ -20,7 +20,6 @@ from measim.data import (
     load_mnist_idx,
     mnist12_dataset,
     write_idx_images,
-    write_idx_labels,
 )
 
 
@@ -170,25 +169,6 @@ def test_idx_dimension_mismatch(tmp_path):
     path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 28, 28) + bytes(784))
     with pytest.raises(IdxFormatError, match="expected"):
         load_mnist_idx(path)
-
-
-def test_idx_labels_round_trip(tmp_path):
-    ipath = tmp_path / "im.idx"
-    lpath = tmp_path / "lb.idx"
-    write_idx_images(ipath, np.zeros((3, 784)))
-    write_idx_labels(lpath, [7, 0, 4])
-    images, labels = load_mnist_idx(ipath, lpath)
-    assert images.shape == (3, 784)
-    assert np.array_equal(labels, [7, 0, 4])
-
-
-def test_idx_label_count_mismatch(tmp_path):
-    ipath = tmp_path / "im.idx"
-    lpath = tmp_path / "lb.idx"
-    write_idx_images(ipath, np.zeros((3, 784)))
-    write_idx_labels(lpath, [1, 2])
-    with pytest.raises(IdxFormatError, match="labels"):
-        load_mnist_idx(ipath, lpath)
 
 
 def test_crop_resize_constant_image():

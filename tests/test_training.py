@@ -417,10 +417,11 @@ def track_rollouts(monkeypatch):
 
 
 def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
-    # with E2 in this process: E1 lives until the actor step, E2 until its
-    # actor term is formed, E3 until the imputer update, and no rollout
-    # outlives its iteration; only E1 and E2 take a gradient, so E3 and
-    # fine-tune steps keep no state and no tape
+    # with E2 in this process it rolls first, when its request is sent, and
+    # lives until its actor term is formed; E1 lives until the actor step, E3
+    # until the imputer update, and no rollout outlives its iteration; only
+    # E1 and E2 take a gradient, so E3 and fine-tune steps keep no state and
+    # no tape
     e2_in_helper(monkeypatch, False)
     alive, held, kept = track_rollouts(monkeypatch)
     ds = tiny_dataset()
@@ -522,10 +523,11 @@ def check_against_serial_reference(variant):
 def test_helper_loop_matches_serial_reference(monkeypatch, variant):
     e2_in_helper(monkeypatch, True)
     started = []
-    real = training._E2Helper
-    monkeypatch.setattr(training, "_E2Helper", lambda chain: started.append(1) or real(chain))
+    real = helper.Helper
+    monkeypatch.setattr(helper, "Helper",
+                        lambda name, handle: started.append(name) or real(name, handle))
     check_against_serial_reference(variant)
-    assert started == [1]
+    assert started == ["measim-e2"]
 
 
 @pytest.mark.parametrize("variant", ["sinusoid", "image"])
@@ -534,7 +536,7 @@ def test_e2_in_process_matches_serial_reference(monkeypatch, variant):
         raise AssertionError("helper process started")
 
     e2_in_helper(monkeypatch, False)
-    monkeypatch.setattr(training, "_E2Helper", refuse)
+    monkeypatch.setattr(helper, "Helper", refuse)
     check_against_serial_reference(variant)
 
 
@@ -620,7 +622,7 @@ def test_no_helper_without_an_e2_set(monkeypatch, overrides):
         raise AssertionError("helper process started")
 
     e2_in_helper(monkeypatch, True)
-    monkeypatch.setattr(training, "_E2Helper", refuse)
+    monkeypatch.setattr(helper, "Helper", refuse)
     ds = tiny_dataset()
     cfg = tiny_config(**overrides)
     joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
