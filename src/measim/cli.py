@@ -22,9 +22,9 @@ from .masks import load_missing_csv, mask_dataset, mcar_spec, save_missing_csv
 from .policy import load_policy
 from .training import (
     JointConfig,
+    joint_train,
     load_config,
     pretrain_imputer,
-    run_training,
     write_config,
 )
 
@@ -74,15 +74,20 @@ def _methods(text: str) -> list[str]:
     return methods
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return n
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return n
+    return parse
+
+
+_positive_int = _int_at_least(1)   # argparse type: a count, >= 1
+_seed = _int_at_least(0)           # argparse type: a seed, >= 0
 
 
 def check_explicit_k(methods, k: int) -> None:
@@ -97,6 +102,28 @@ def preset_config(dataset: str) -> JointConfig:
     if dataset == "mnist12":
         return JointConfig(variant="image", smoothness_weight=0.0, missing_rate=0.85)
     return JointConfig(variant="sinusoid")
+
+
+def complete_data(dataset: str, n_train: int | None = None, n_test: int | None = None,
+                  seed: int = 0, mnist_dir=None) -> tuple[np.ndarray, np.ndarray]:
+    """The complete train and test arrays of a dataset.  Sinusoids are
+    generated from seed, 2880/720 rows by default; mnist12 reads the IDX files
+    in mnist_dir or $MEASIM_MNIST_DIR, 10,000/2,000 images by default."""
+    if dataset not in DATASETS:
+        raise CliError(f"unknown dataset {dataset!r}; choose from {DATASETS}")
+    if dataset.startswith("sin-"):
+        return gen_sinusoid_dataset(n_train=2880 if n_train is None else n_train,
+                                    n_test=720 if n_test is None else n_test,
+                                    mode=dataset[len("sin-"):], seed=seed)
+    mnist_dir = mnist_dir or os.environ.get("MEASIM_MNIST_DIR")
+    if not mnist_dir:
+        raise CliError("mnist12 needs --mnist-dir or MEASIM_MNIST_DIR")
+    try:
+        train_idx, test_idx = [find_mnist_file(mnist_dir, s) for s in MNIST_STEMS]
+    except FileNotFoundError as e:
+        raise CliError(str(e)) from None
+    return (mnist12_dataset(train_idx, n_limit=10_000 if n_train is None else n_train),
+            mnist12_dataset(test_idx, n_limit=2_000 if n_test is None else n_test))
 
 
 def build_config(args) -> JointConfig:
@@ -187,25 +214,8 @@ def _print_report(report: EvalReport) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    if args.dataset.startswith("sin-"):
-        n_train = args.n_train if args.n_train is not None else 2880
-        n_test = args.n_test if args.n_test is not None else 720
-        train, test = gen_sinusoid_dataset(n_train=n_train, n_test=n_test,
-                                           mode=args.dataset[len("sin-"):],
-                                           seed=args.seed)
-    else:
-        mnist_dir = args.mnist_dir or os.environ.get("MEASIM_MNIST_DIR")
-        if not mnist_dir:
-            raise CliError("mnist12 needs --mnist-dir or MEASIM_MNIST_DIR")
-        try:
-            train_idx, test_idx = [find_mnist_file(mnist_dir, s) for s in MNIST_STEMS]
-        except FileNotFoundError as e:
-            raise CliError(str(e)) from None
-        n_train = args.n_train if args.n_train is not None else 10_000
-        n_test = args.n_test if args.n_test is not None else 2_000
-        train = mnist12_dataset(train_idx, n_limit=n_train)
-        test = mnist12_dataset(test_idx, n_limit=n_test)
-
+    train, test = complete_data(args.dataset, args.n_train, args.n_test, args.seed,
+                                args.mnist_dir)
     n_observed = mcar_spec(train.shape[1], args.missing_rate)
     train_ds = mask_dataset(train, n_observed, rngs.substream(args.seed, rngs.DATA_MASK, 0))
     test_ds = mask_dataset(test, n_observed, rngs.substream(args.seed, rngs.DATA_MASK, 1))
@@ -252,9 +262,8 @@ def cmd_train_joint(args) -> int:
         imputer = load_imputer(args.imputer)
         require_same_width(("imputer", args.imputer, imputer.d),
                            ("data", args.data, ds.dim))
-    policy, imputer, record = run_training(cfg, ds, out_dir=args.out,
-                                           imputer=imputer,
-                                           trace_episodes=args.trace_episodes)
+    policy, imputer, record = joint_train(cfg, ds, imputer=imputer, out_dir=args.out,
+                                          trace_episodes=args.trace_episodes)
     if record.stats:
         print(f"{len(record.stats)} iterations"
               f"{' (early stop)' if record.stopped_early else ''}, "
@@ -322,8 +331,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    if args.nets < 1:
-        raise CliError("--nets must be >= 1")
     rng = np.random.default_rng(args.seed)
     shapes = [[288, 64, 64, 144], [288, 64, 64, 144]]
     while len(shapes) < args.nets:
@@ -365,7 +372,7 @@ def _add_config_flags(p, with_ablation=False):
     p.add_argument("--dataset", choices=DATASETS,
                    help="dataset preset when no --config is given")
     p.add_argument("--missing-rate", type=_rate, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     if with_ablation:
         p.add_argument("--ablation", choices=ABLATION_FLAGS, default=None)
 
@@ -373,7 +380,7 @@ def _add_config_flags(p, with_ablation=False):
 def _add_eval_flags(p):
     p.add_argument("--k", type=_positive_int, default=3, help="imputation draws per example")
     p.add_argument("--n-seeds", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--explicit-k", type=int, default=5,
                    help="draws per step for the variance baseline")
 
@@ -385,10 +392,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate a masked dataset directory")
     p.add_argument("--dataset", choices=DATASETS, required=True)
     p.add_argument("--missing-rate", type=_rate, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--n-test", type=int, default=None)
+    p.add_argument("--n-train", type=_positive_int, default=None)
+    p.add_argument("--n-test", type=_positive_int, default=None)
     p.add_argument("--mnist-dir", default=None,
                    help="directory holding the raw IDX image files")
     p.set_defaults(func=cmd_gen_data)
@@ -435,8 +442,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("grad-check", help="finite-difference check of backprop")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nets", type=int, default=10)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--nets", type=_positive_int, default=10)
     p.set_defaults(func=cmd_grad_check)
 
     return parser

@@ -12,8 +12,8 @@ update; phi_new is discarded.
 
 Ablations: "no_meta" drops the hypothetical-update machinery (E2 term),
 "no_adaptation" additionally freezes the imputer during the loop, leaving a
-plain REINFORCE trained against the pretrained imputer; the imputer is
-fine-tuned afterwards via finetune_after.
+plain REINFORCE trained against the pretrained imputer; joint_train then
+fine-tunes the imputer to the trained policy via finetune_after.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ class JointConfig:
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("alpha", "alpha_prime", "beta", "beta_prime",
                      "pretrain_lr", "critic_lr"):
             if getattr(self, name) < 0:
@@ -428,7 +430,10 @@ def joint_train(
     E1 terminals, roll E2 under the unflattened policy and reward it against
     phi_new, step the actor on both terms, then roll E3 under the updated
     policy and step the real imputer on its terminals.  phi_new is discarded
-    every iteration.
+    every iteration.  A "no_adaptation" run, whose imputer stays frozen in
+    the loop, then fine-tunes it to the trained policy (finetune_after,
+    cfg.finetune_iterations rounds); the fine-tuned imputer is the one
+    returned, checksummed and saved.
 
     With an E2 set (ablation "full" and at least one iteration), the E2
     chain, the rollout and its actor-gradient term under the pre-update actor
@@ -563,6 +568,9 @@ def joint_train(
         if e2 is not None:
             e2.close()
 
+    if not adapt:
+        imputer = finetune_after(policy, imputer, cfg, dataset)
+
     record.checksums = {
         "actor": params_checksum(policy.actor),
         "critic": params_checksum(policy.critic),
@@ -653,23 +661,3 @@ def finetune_after(
         if not np.isfinite(losses["unsupervised"]) or not np.isfinite(losses["supervised"]):
             raise FloatingPointError(f"non-finite loss at fine-tune iteration {i}")
     return model
-
-
-def run_training(
-    cfg: JointConfig,
-    dataset: MissingDataset,
-    out_dir=None,
-    imputer: ImputerModel | None = None,
-    trace_episodes: bool = False,
-) -> tuple[PolicyModel, ImputerModel, RunRecord]:
-    """joint_train plus the deferred fine-tune that no_adaptation calls for."""
-    policy, trained_imputer, record = joint_train(cfg, dataset, imputer=imputer,
-                                                  out_dir=out_dir,
-                                                  trace_episodes=trace_episodes)
-    if cfg.ablation == "no_adaptation" and cfg.finetune_iterations > 0:
-        trained_imputer = finetune_after(policy, trained_imputer, cfg, dataset)
-        record.checksums["imputer"] = params_checksum(trained_imputer.net)
-        if out_dir is not None:
-            save_imputer(trained_imputer, os.path.join(out_dir, "imputer.ckpt"))
-            write_run_csv(record, os.path.join(out_dir, "run.csv"))
-    return policy, trained_imputer, record

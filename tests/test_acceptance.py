@@ -6,6 +6,7 @@ budget a few minutes for the whole module.  The mnist12 gates skip unless
 MEASIM_MNIST_DIR points at the raw IDX files.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -32,7 +33,6 @@ from measim.training import (
     joint_train,
     plain_reinforce_train,
     pretrain_imputer,
-    run_training,
 )
 
 SIN_TRAIN, SIN_TEST = 2880, 720
@@ -119,7 +119,7 @@ def _train_at(rate: float, train: np.ndarray) -> dict:
     pre, _ = pretrain_imputer(cfg, ds)
     policy, imputer, record = joint_train(cfg, ds, imputer=pre)
     wall = time.perf_counter() - t0
-    return {"cfg": cfg, "pre": pre, "policy": policy, "imputer": imputer,
+    return {"cfg": cfg, "ds": ds, "pre": pre, "policy": policy, "imputer": imputer,
             "record": record, "wall": wall}
 
 
@@ -455,7 +455,7 @@ def test_10_mnist12_ablations(mnist_trained):
                               ablation=ablation,
                               beta_prime=0.0 if ablation != "full" else 1.0,
                               iterations=600)
-            policy, imputer, _ = run_training(cfg, b["ds"], imputer=b["pre"])
+            policy, imputer, _ = joint_train(cfg, b["ds"], imputer=b["pre"])
             scores.append(eval_policy(policy, imputer, b["test"], 0.85,
                                       k=3, n_seeds=1).mean_topk())
         means[ablation] = (float(np.mean(scores)),
@@ -566,3 +566,24 @@ def test_12_determinism_and_serialization(tmp_path):
     check(12, ok, f"run.csv bytes identical across reruns {runs_equal}; "
                   f"checkpoint bytes round-trip {roundtrip}; "
                   f"loaded params match trained params {loaded_ok}")
+
+
+# ---------------------------------------------------------------------------
+# 13. the paper's central claim on sin-single at 90%: adapting the imputer
+#     inside the loop (the E2 term) teaches the policy more than training it
+#     against a fixed reward model does
+
+
+def test_13_meta_term_beats_no_meta(trained_90, eval_90, sin_single):
+    b, test = trained_90, sin_single[1]
+    cfg = dataclasses.replace(b["cfg"], ablation="no_meta", beta_prime=0.0)
+    policy, imputer, _ = joint_train(cfg, b["ds"], imputer=b["pre"])
+    full = eval_90[0].mean_top1()
+    no_meta = eval_policy(policy, imputer, test, 0.9, k=3, n_seeds=3).mean_top1()
+    explicit = eval_policy(ExplicitSelector(b["pre"], k=5), b["pre"], test, 0.9,
+                           k=3, n_seeds=3).mean_top1()
+    ratio = full / no_meta
+    check(13, ratio <= 0.90,
+          f"90% top-1: full {full:.4f} vs no_meta {no_meta:.4f}, ratio {ratio:.3f} "
+          f"<= 0.90; report only, pretrained imputer: uniform "
+          f"{eval_90[1].mean_top1():.4f}, explicit {explicit:.4f}")

@@ -276,25 +276,45 @@ def test_sweep_rejects_unknown_method(run_dir, data_dir, capsys):
     ("baseline", ["--method", "explicit", "--explicit-k", "1"], "--explicit-k"),
     ("baseline", ["--method", "uninform", "--missing-rate", "1.5"], "--missing-rate"),
     ("baseline", ["--method", "uninform", "--n-seeds", "0"], "--n-seeds"),
+    ("eval", ["--seed", "-1"], "--seed"),
+    ("sweep", ["--seed", "-1"], "--seed"),
+    ("baseline", ["--method", "uninform", "--seed", "-1"], "--seed"),
+    ("pretrain", ["--seed", "-1"], "--seed"),
+    ("train-joint", ["--seed", "-1"], "--seed"),
+    ("grad-check", ["--seed", "-1"], "--seed"),
+    ("grad-check", ["--nets", "0"], "--nets"),
 ])
 def test_bad_eval_flags_are_usage_errors_before_any_work(tmp_path, capsys, command,
                                                          flags, named):
-    # every input file is missing: the flag must be rejected before any is read
-    paths = {"eval": ["--run", str(tmp_path / "run")],
-             "sweep": ["--run", str(tmp_path / "run")],
-             "baseline": ["--imputer", str(tmp_path / "imp.ckpt")]}[command]
-    code = main([command, *paths, "--data", str(tmp_path / "test.csv"), *flags])
+    # every input file is missing: the flag must be rejected before any is read,
+    # and nothing is written, a run directory included
+    data = ["--data", str(tmp_path / "test.csv")]
+    paths = {"eval": ["--run", str(tmp_path / "run"), *data],
+             "sweep": ["--run", str(tmp_path / "run"), *data],
+             "baseline": ["--imputer", str(tmp_path / "imp.ckpt"), *data],
+             "pretrain": ["--out", str(tmp_path / "run"), *data],
+             "train-joint": ["--out", str(tmp_path / "run"), *data],
+             "grad-check": []}[command]
+    code = main([command, *paths, *flags])
     assert code == 1
     err = capsys.readouterr().err
     assert named in err
     assert "missing file" not in err and "missing checkpoint" not in err
+    assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flags", [["--missing-rate", "1.0"], ["--missing-rate", "nan"]])
-def test_gen_data_rejects_rate_outside_unit_interval(tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags", [
+    ["--missing-rate", "1.0"],
+    ["--missing-rate", "nan"],
+    ["--n-train", "-1"],
+    ["--n-train", "0"],
+    ["--n-test", "0"],
+    ["--seed", "-1"],
+])
+def test_gen_data_rejects_bad_rate_size_or_seed(tmp_path, capsys, flags):
     code = main(["gen-data", "--dataset", "sin-single", "--out", str(tmp_path / "d"), *flags])
     assert code == 1
-    assert "--missing-rate" in capsys.readouterr().err
+    assert flags[0] in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
 
 

@@ -34,7 +34,6 @@ from measim.training import (
     parse_config,
     plain_reinforce_train,
     plateaued,
-    run_training,
     write_run_csv,
 )
 
@@ -123,6 +122,7 @@ def test_ablations_require_zero_meta_weight():
     (dict(variant="audio"), "variant"),
     (dict(pretrain_epochs=-1), "pretrain_epochs"),
     (dict(pretrain_batch=0), "pretrain_batch"),
+    (dict(seed=-1), "seed"),
 ])
 def test_config_rejects_bad_architecture_and_pretraining(override, name):
     with pytest.raises(ValueError, match=name):
@@ -714,8 +714,8 @@ def test_run_training_finetunes_frozen_runs(tmp_path):
                       finetune_iterations=2)
     pre = pretrained_imputer(cfg, ds)
     out = tmp_path / "run"
-    policy, imputer, record = run_training(cfg, ds, out_dir=out, imputer=pre)
-    # the fine-tuned imputer, not the frozen one, lands on disk
+    policy, imputer, record = joint_train(cfg, ds, imputer=pre, out_dir=out)
+    # the fine-tuned imputer, not the frozen one, is returned and lands on disk
     assert any(not np.array_equal(a, b)
                for a, b in zip(imputer.net.params(), pre.net.params()))
     loaded = load_imputer(out / "imputer.ckpt")
@@ -729,7 +729,7 @@ def test_run_training_full_mode_skips_finetune():
     cfg = tiny_config(iterations=2, finetune_iterations=5)
     pre = pretrained_imputer(cfg, ds)
     a = joint_train(cfg, ds, imputer=pre)
-    b = run_training(cfg, ds, imputer=pre)
+    b = joint_train(dataclasses.replace(cfg, finetune_iterations=0), ds, imputer=pre)
     assert_params_equal(a[1].net, b[1].net)
 
 
