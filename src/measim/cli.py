@@ -108,7 +108,8 @@ def complete_data(dataset: str, n_train: int | None = None, n_test: int | None =
                   seed: int = 0, mnist_dir=None) -> tuple[np.ndarray, np.ndarray]:
     """The complete train and test arrays of a dataset.  Sinusoids are
     generated from seed, 2880/720 rows by default; mnist12 reads the IDX files
-    in mnist_dir or $MEASIM_MNIST_DIR, 10,000/2,000 images by default."""
+    in mnist_dir or $MEASIM_MNIST_DIR, at most 10,000/2,000 images by default
+    and exactly the count asked for otherwise."""
     if dataset not in DATASETS:
         raise CliError(f"unknown dataset {dataset!r}; choose from {DATASETS}")
     if dataset.startswith("sin-"):
@@ -122,8 +123,13 @@ def complete_data(dataset: str, n_train: int | None = None, n_test: int | None =
         train_idx, test_idx = [find_mnist_file(mnist_dir, s) for s in MNIST_STEMS]
     except FileNotFoundError as e:
         raise CliError(str(e)) from None
-    return (mnist12_dataset(train_idx, n_limit=10_000 if n_train is None else n_train),
-            mnist12_dataset(test_idx, n_limit=2_000 if n_test is None else n_test))
+    out = []
+    for path, n, default in ((train_idx, n_train, 10_000), (test_idx, n_test, 2_000)):
+        images = mnist12_dataset(path, n_limit=default if n is None else n)
+        if n is not None and len(images) < n:
+            raise CliError(f"{path} holds {len(images)} images, fewer than the {n} asked for")
+        out.append(images)
+    return tuple(out)
 
 
 def build_config(args) -> JointConfig:

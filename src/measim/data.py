@@ -100,25 +100,30 @@ def gen_sinusoid_dataset(
     return train, test
 
 
-def load_mnist_idx(images_path) -> np.ndarray:
-    """Images from an IDX file as (n, 784) float64 in [0,1]."""
+def load_mnist_idx(images_path, n_limit: int | None = None) -> np.ndarray:
+    """Images from an IDX file as (n, 784) float64 in [0,1]: all of them, or
+    the first n_limit.  Only the images kept are converted to float64."""
     with open(images_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise IdxFormatError(f"{images_path}: truncated header ({len(raw)} bytes)")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxFormatError(
-            f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    expected = 16 + count * rows * cols
-    if len(raw) != expected:
-        raise IdxFormatError(
-            f"{images_path}: {len(raw)} bytes, expected {expected} for "
-            f"{count} images of {rows}x{cols}"
-        )
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).astype(np.float64) / 255.0
-    return pixels.reshape(count, rows * cols)
+        header = f.read(16)
+        size = os.fstat(f.fileno()).st_size
+        if len(header) < 16:
+            raise IdxFormatError(f"{images_path}: truncated header ({size} bytes)")
+        magic, count, rows, cols = struct.unpack(">IIII", header)
+        if magic != IDX_IMAGES_MAGIC:
+            raise IdxFormatError(
+                f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
+            )
+        expected = 16 + count * rows * cols
+        if size != expected:
+            raise IdxFormatError(
+                f"{images_path}: {size} bytes, expected {expected} for "
+                f"{count} images of {rows}x{cols}"
+            )
+        n = count if n_limit is None else min(n_limit, count)
+        pixels = np.fromfile(f, dtype=np.uint8, count=n * rows * cols)
+    images = pixels.reshape(n, rows * cols).astype(np.float64)
+    images /= 255.0
+    return images
 
 
 def find_mnist_file(directory, stem: str) -> str:
@@ -154,10 +159,9 @@ def crop_resize_12(image: np.ndarray) -> np.ndarray:
 
 
 def mnist12_dataset(images_path, n_limit: int | None = None) -> np.ndarray:
-    """Complete-data matrix (n, 144) from a 28x28 IDX file."""
-    images = load_mnist_idx(images_path)
-    if n_limit is not None:
-        images = images[:n_limit]
+    """Complete-data matrix (n, 144) from a 28x28 IDX file: all of its
+    images, or the first n_limit."""
+    images = load_mnist_idx(images_path, n_limit)
     out = np.zeros((images.shape[0], 144))
     for i in range(images.shape[0]):
         out[i] = crop_resize_12(images[i])

@@ -36,15 +36,6 @@ def horizon_for(d: int, missing_rate: float) -> int:
 
 
 @dataclass
-class RewardConfig:
-    k: int = 3
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
-@dataclass
 class Rollout:
     """Batch of lockstep episodes sharing step indices."""
 
@@ -150,12 +141,12 @@ def topk_rmse(candidates: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
 def terminal_rewards_batch(
     model: ImputerModel,
     rollout: Rollout,
-    cfg: RewardConfig,
+    k: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-episode reward for a batch: k imputation draws per episode."""
-    cands = impute_batch(model, rollout.terminal_values, rollout.terminal_masks, rng,
-                         k=cfg.k)
+    """Per-episode reward for a batch: minus the best RMSE of k imputation
+    draws per episode (k >= 1, which impute_batch checks)."""
+    cands = impute_batch(model, rollout.terminal_values, rollout.terminal_masks, rng, k=k)
     return -topk_rmse(cands, rollout.x_bar)
 
 

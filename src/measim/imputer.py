@@ -350,15 +350,17 @@ def adapt_step(
 ) -> tuple[ImputerModel, dict]:
     """One combined self-masking + known-truth gradient step, non-mutating.
 
-    Returns (fresh parameter set, loss values); the input model is untouched,
-    so a caller can evaluate against the adapted imputer and then discard it.
+    The step is one unit-rate SGD step on alpha * g_u + alpha_prime * g_s
+    through DenseNet.step, so a non-finite gradient raises
+    NonFiniteGradientError.  Returns (fresh parameter set, loss values); the
+    input model is untouched, so a caller can evaluate against the adapted
+    imputer and then discard it.
     """
     l_u, g_u, _ = loss_unsupervised(model, miss_values, miss_masks, cfg, rng_unsup)
     l_s, g_s = loss_supervised_batch(model, term_values, term_masks, xbar, rng_sup)
     adapted = model.copy()
-    for p, gu, gs in zip(adapted.net.params(), g_u, g_s):
-        p -= alpha * gu + alpha_prime * gs
-    adapted.net.version += 1
+    adapted.net.step([alpha * gu + alpha_prime * gs for gu, gs in zip(g_u, g_s)],
+                     nn.OptimizerState(kind="sgd", lr=1.0))
     return adapted, {"unsupervised": l_u, "supervised": l_s}
 
 

@@ -71,7 +71,8 @@ class DenseNet:
 
     weights[i] has shape (dims[i+1], dims[i]); hidden layers share one
     activation, the output layer gets its own.  `version` counts parameter
-    mutations so stale tapes can be rejected.
+    mutations so stale tapes can be rejected; step and assign are the only
+    ways parameters change.
     """
 
     def __init__(
@@ -155,6 +156,14 @@ class DenseNet:
     def step(self, grads: list[np.ndarray], state: "OptimizerState") -> None:
         """Apply one optimizer step in place and invalidate existing tapes."""
         optimizer_step(self.params(), grads, state)
+        self.version += 1
+
+    def assign(self, params: list[np.ndarray]) -> None:
+        """Copy values into the parameters, in params() order, and invalidate
+        existing tapes."""
+        # paired up front, so a list of the wrong length writes nothing
+        for p, src in list(zip(self.params(), params, strict=True)):
+            p[...] = src
         self.version += 1
 
 

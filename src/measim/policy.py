@@ -139,8 +139,6 @@ class StepBatch:
     sample_probs: np.ndarray | None  # (B, D) distribution that sampled the action
     actions: np.ndarray         # (B,) chosen coordinates
     explore_e: float = 0.0
-    # (critic net, tape) of the latest critic forward on state; see critic_forward
-    critic: tuple | None = None
 
     @property
     def values(self) -> np.ndarray:
@@ -153,31 +151,15 @@ class StepBatch:
         return self.state[:, self.state.shape[1] // 2:]
 
 
-@dataclass
-class ReinforceConfig:
-    beta: float = 1e-3
-    normalize_advantages: bool = True
-    explore_e: float = 0.1
-
-
-def critic_forward(model: PolicyModel, step: StepBatch) -> nn.Tape:
-    """Eval-mode critic forward on one step's states; V is tape.output[:, 0].
-
-    advantages_for and critic_update both need V on the same states under the
-    same critic parameters, so the tape is kept on the step and reused while
-    it was taken with this critic at its current version (every parameter
-    update bumps the version).
-    """
-    memo = step.critic
-    if memo is not None and memo[0] is model.critic and memo[1].version == model.critic.version:
-        return memo[1]
-    _, tape = nn.forward(model.critic, step.state, mode="eval")
-    step.critic = (model.critic, tape)
-    return tape
-
-
-def critic_values(model: PolicyModel, steps: list[StepBatch]) -> list[np.ndarray]:
-    return [critic_forward(model, s).output[:, 0] for s in steps]
+def _advantages(rewards: np.ndarray, values: list[np.ndarray],
+                normalize: bool) -> list[np.ndarray]:
+    adv = [rewards - v for v in values]
+    if normalize and adv:
+        flat = np.concatenate(adv)
+        mu = flat.mean()
+        sd = flat.std()
+        adv = [(a - mu) / (sd + 1e-8) for a in adv]
+    return adv
 
 
 def advantages_for(
@@ -186,15 +168,15 @@ def advantages_for(
     rewards: np.ndarray,
     normalize: bool,
 ) -> list[np.ndarray]:
-    """Terminal-only undiscounted reward: A_t = R - V(state_t) at every step."""
+    """Terminal-only undiscounted reward: A_t = R - V(state_t) at every step.
+
+    One eval-mode critic forward per step, kept nowhere.  For steps whose
+    critic is not also being fitted; critic_update returns the same
+    advantages from its own forward.
+    """
     rewards = np.asarray(rewards, dtype=np.float64)
-    adv = [rewards - v for v in critic_values(model, steps)]
-    if normalize and adv:
-        flat = np.concatenate(adv)
-        mu = flat.mean()
-        sd = flat.std()
-        adv = [(a - mu) / (sd + 1e-8) for a in adv]
-    return adv
+    values = [nn.forward(model.critic, s.state, mode="eval")[0][:, 0] for s in steps]
+    return _advantages(rewards, values, normalize)
 
 
 def actor_gradient(
@@ -225,37 +207,49 @@ def actor_gradient(
     return grads
 
 
-def critic_update(model: PolicyModel, steps: list[StepBatch], rewards: np.ndarray) -> float:
-    """One optimizer step of squared error from V(state) to the episode reward."""
+def critic_update(
+    model: PolicyModel,
+    steps: list[StepBatch],
+    rewards: np.ndarray,
+    normalize: bool,
+) -> tuple[float, list[np.ndarray]]:
+    """One optimizer step of squared error from V(state) to the episode reward.
+
+    Returns (loss, advantages).  The advantages are advantages_for's, from
+    the values of this update's one critic forward per step, taken before
+    the step.
+    """
     rewards = np.asarray(rewards, dtype=np.float64)
     n_total = sum(s.actions.shape[0] for s in steps)
     grads = [np.zeros_like(p) for p in model.critic.params()]
     total = 0.0
+    values = []
     for s in steps:
-        tape = critic_forward(model, s)
-        diff = tape.output[:, 0] - rewards
+        out, tape = nn.forward(model.critic, s.state, mode="eval")
+        values.append(out[:, 0])
+        diff = out[:, 0] - rewards
         total += float((diff ** 2).sum())
         g = nn.backward(model.critic, tape, (2.0 * diff / n_total)[:, None])
         for acc, gi in zip(grads, g):
             acc += gi
     model.critic.step(grads, model.critic_opt)
-    return total / n_total
+    return total / n_total, _advantages(rewards, values, normalize)
 
 
 def reinforce_update(
     model: PolicyModel,
     steps: list[StepBatch],
     rewards: np.ndarray,
-    cfg: ReinforceConfig,
+    beta: float,
+    normalize: bool,
 ) -> None:
-    """Critic fit + one plain gradient step on the actor surrogate.
+    """Critic fit + one plain SGD step of rate beta on the actor surrogate.
 
     Advantages use the critic as it stood before this update.
     """
-    adv = advantages_for(model, steps, rewards, cfg.normalize_advantages)
-    critic_update(model, steps, rewards)
+    _, adv = critic_update(model, steps, rewards, normalize)
     grads = actor_gradient(model, steps, adv)
-    model.actor.step(grads, nn.OptimizerState(kind="sgd", lr=cfg.beta))
+    model.actor.step(grads, nn.OptimizerState(kind="sgd", lr=beta))
 
 
 def save_policy(model: PolicyModel, actor_path, critic_path) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import typing
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import helper, nn, rngs
 from .episodes import (
-    RewardConfig,
     Rollout,
     horizon_for,
     rollout_batch,
@@ -50,7 +50,6 @@ from .imputer import (
 from .masks import MissingDataset
 from .policy import (
     PolicyModel,
-    ReinforceConfig,
     actor_gradient,
     advantages_for,
     build_policy,
@@ -110,6 +109,10 @@ class JointConfig:
     finetune_iterations: int = 100
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         if self.seed < 0:
@@ -146,6 +149,7 @@ class JointConfig:
             raise ValueError("pretrain_epochs must be >= 0")
         if self.pretrain_batch < 1:
             raise ValueError("pretrain_batch must be >= 1")
+        self.loss_config()   # checks the imputer loss settings
 
     def loss_config(self) -> ImputerLossConfig:
         return ImputerLossConfig(
@@ -153,11 +157,6 @@ class JointConfig:
             smoothness_weight=self.smoothness_weight,
             gaussian_kernel_sigma=self.gaussian_kernel_sigma,
         )
-
-    def reinforce_config(self) -> ReinforceConfig:
-        return ReinforceConfig(beta=self.beta,
-                               normalize_advantages=self.normalize_advantages,
-                               explore_e=self.explore_e)
 
 
 # ---------------------------------------------------------------------------
@@ -349,30 +348,17 @@ def _require_finite(x, what: str, iteration: int) -> None:
         raise FloatingPointError(f"non-finite {what} at iteration {iteration}")
 
 
-def _apply_actor_terms(policy: PolicyModel, terms: list[tuple[float, list[np.ndarray]]]) -> None:
-    # zero-weight terms are skipped outright so they cannot perturb bits
-    params = policy.actor.params()
-    stepped = False
-    for weight, grads in terms:
-        if weight == 0.0:
-            continue
-        for p, g in zip(params, grads):
-            p -= weight * g
-        stepped = True
-    if stepped:
-        policy.actor.version += 1
-
-
 class _E2Handler:
     """The joint loop's E2 chain, answering one request at a time.
 
     ("roll", actor params, critic params, xbar, i) loads the parameters into
-    self.policy, rolls iteration i's E2 set and returns its terminal state;
-    ("reward", r2) returns the set's actor-gradient term.  The term reads the
-    critic before its update, so the loop sends the rewards before
-    critic_update.  In a forked helper self.policy is the helper's copy of
-    the policy; in the training process it is the policy being trained, and
-    the load copies its parameters onto themselves.
+    self.policy with DenseNet.assign, rolls iteration i's E2 set and returns
+    its terminal state; ("reward", r2) returns the set's actor-gradient term,
+    with advantages from advantages_for.  The term reads the critic before
+    its update, so the loop sends the rewards before critic_update.  In a
+    forked helper self.policy is the helper's copy of the policy; in the
+    training process it is the policy being trained, and the load copies its
+    parameters onto themselves.
     """
 
     def __init__(self, policy: PolicyModel, horizon: int, seed: int, normalize: bool):
@@ -390,10 +376,8 @@ class _E2Handler:
             adv = advantages_for(policy, roll.steps, rewards, self._normalize)
             return actor_gradient(policy, roll.steps, adv)
         actor_params, critic_params, xbar, i = args
-        for net, params in ((policy.actor, actor_params), (policy.critic, critic_params)):
-            for p, src in zip(net.params(), params):
-                p[...] = src
-            net.version += 1
+        policy.actor.assign(actor_params)
+        policy.critic.assign(critic_params)
         self._roll = rollout_batch(policy, xbar, self._horizon, "stochastic",
                                    rngs.substream(self._seed, rngs.EPISODE_2, i))
         return self._roll.terminal_values, self._roll.terminal_masks
@@ -454,7 +438,6 @@ def joint_train(
     d = dataset.dim
     horizon = horizon_for(d, cfg.missing_rate)
     loss_cfg = cfg.loss_config()
-    reward_cfg = RewardConfig(k=cfg.k_reward)
     seed = cfg.seed
 
     if imputer is not None and imputer.d != d:
@@ -501,7 +484,7 @@ def joint_train(
             # (2) exploration episodes, rewarded by the current imputer
             roll1 = rollout_batch(policy, xbar, horizon, "explore",
                                   rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
-            r1 = terminal_rewards_batch(imputer, roll1, reward_cfg,
+            r1 = terminal_rewards_batch(imputer, roll1, cfg.k_reward,
                                         rngs.substream(seed, rngs.REWARD_1, i))
             _require_finite(r1, "reward", i)
 
@@ -517,22 +500,26 @@ def joint_train(
                 terminal_values, terminal_masks = e2.recv()
                 roll2 = Rollout(x_bar=xbar, terminal_values=terminal_values,
                                 terminal_masks=terminal_masks)
-                r2 = terminal_rewards_batch(phi_new, roll2, reward_cfg,
+                r2 = terminal_rewards_batch(phi_new, roll2, cfg.k_reward,
                                             rngs.substream(seed, rngs.REWARD_2, i))
                 _require_finite(r2, "reward", i)
                 e2.send(("reward", r2))
 
             # (5) two-term actor step; advantages use the critic before its
-            # update, for the E2 term too
-            adv1 = advantages_for(policy, roll1.steps, r1, cfg.normalize_advantages)
-            terms = [(cfg.beta, actor_gradient(policy, roll1.steps, adv1))]
-            critic_loss = critic_update(policy, roll1.steps, r1)
+            # update, for the E2 term too, and the fit returns E1's
+            critic_loss, adv1 = critic_update(policy, roll1.steps, r1,
+                                              cfg.normalize_advantages)
             _require_finite(critic_loss, "loss", i)
+            terms = [(cfg.beta, actor_gradient(policy, roll1.steps, adv1))]
             if e2 is not None:
                 terms.append((cfg.beta_prime, e2.recv()))
-            _apply_actor_terms(policy, terms)
-            # E1's steps, tapes and critic memos are spent: release them before
-            # E3 records its own
+            # p -= weight * g per term; zero-weight terms are skipped outright
+            # so they cannot perturb bits
+            for weight, grads in terms:
+                if weight != 0.0:
+                    policy.actor.step(grads, nn.OptimizerState(kind="sgd", lr=weight))
+            # E1's steps and tapes are spent: release them before E3 records
+            # its own
             if trace_episodes:
                 last_roll, last_rewards = roll1, r1
             roll1 = None
@@ -607,8 +594,6 @@ def plain_reinforce_train(
                           critic_hidden=cfg.critic_hidden, dropout=cfg.dropout,
                           critic_lr=cfg.critic_lr,
                           rng=rngs.substream(seed, rngs.INIT_POLICY))
-    rcfg = cfg.reinforce_config()
-    reward_cfg = RewardConfig(k=cfg.k_reward)
     rewards: list[float] = []
     for i in range(cfg.iterations):
         idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
@@ -616,10 +601,10 @@ def plain_reinforce_train(
                             rngs.substream(seed, rngs.XBAR, i))
         roll = rollout_batch(policy, xbar, horizon, "explore",
                              rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
-        r = terminal_rewards_batch(imputer, roll, reward_cfg,
+        r = terminal_rewards_batch(imputer, roll, cfg.k_reward,
                                    rngs.substream(seed, rngs.REWARD_1, i))
         _require_finite(r, "reward", i)
-        reinforce_update(policy, roll.steps, r, rcfg)
+        reinforce_update(policy, roll.steps, r, cfg.beta, cfg.normalize_advantages)
         rewards.append(float(np.mean(r)))
         if plateaued(rewards, cfg.early_stop_window, cfg.early_stop_tol):
             break

@@ -20,7 +20,6 @@ from measim.episodes import ExplicitSelector, UniformSelector, rollout_batch, to
 from measim.evaluate import eval_policy
 from measim.masks import mask_dataset, mcar_spec, sample_mcar_mask
 from measim.policy import (
-    ReinforceConfig,
     build_policy,
     flatten_explore,
     load_policy,
@@ -341,7 +340,6 @@ def test_05_bandit_sanity():
         rng = np.random.default_rng(seed)
         policy = build_policy(d=2, actor_hidden=(16,), critic_hidden=(8,),
                               dropout=0.0, rng=rng)
-        cfg = ReinforceConfig(beta=0.3, normalize_advantages=True, explore_e=0.0)
         x_bar = np.zeros((32, 2))
         empty = np.zeros((1, 4))   # [values, masks] with nothing observed
 
@@ -354,7 +352,7 @@ def test_05_bandit_sanity():
             roll = rollout_batch(policy, x_bar, horizon=1, mode="stochastic",
                                  rng=rng)
             rewards = (roll.steps[0].actions == 0).astype(float)
-            reinforce_update(policy, roll.steps, rewards, cfg)
+            reinforce_update(policy, roll.steps, rewards, beta=0.3, normalize=True)
             prob = p_best()
             if prob > 0.9:
                 break

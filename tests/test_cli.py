@@ -111,6 +111,24 @@ def test_gen_data_mnist_from_idx_files(tmp_path):
     assert train.dim == 144 and len(train) == 8
 
 
+@pytest.mark.parametrize("flag", ["--n-train", "--n-test"])
+def test_gen_data_mnist_request_larger_than_file(tmp_path, capsys, flag):
+    images = gen_stroke_digits(12, seed=1)
+    src = tmp_path / "mnist"
+    src.mkdir()
+    write_idx_images(src / "train-images-idx3-ubyte", images[:8])
+    write_idx_images(src / "t10k-images-idx3-ubyte", images[8:])
+    out = tmp_path / "out"
+    code = main(["gen-data", "--dataset", "mnist12", "--mnist-dir", str(src),
+                 flag, "9", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    stem = "train-images" if flag == "--n-train" else "t10k-images"
+    count = "8 images" if flag == "--n-train" else "4 images"
+    assert stem in err and count in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mnist"]   # nothing written
+
+
 def test_gen_data_mnist_names_missing_file(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()
@@ -189,16 +207,22 @@ def test_flag_overrides_config_file(tmp_path, data_dir):
     assert load_config(out / "config.txt").seed == 99
 
 
-@pytest.mark.parametrize("command", ["pretrain", "train-joint"])
-def test_bad_config_value_is_usage_error(tmp_path, data_dir, capsys, command):
+BAD_CONFIG_LINES = ("dropout=1.5", "self_mask_fraction=1.5", "gaussian_kernel_sigma=0",
+                    "beta=nan", "critic_lr=inf")
+
+
+@pytest.mark.parametrize("command, line", [
+    pytest.param(command, line, id=command if line == "dropout=1.5" else f"{command}-{line}")
+    for command in ("pretrain", "train-joint") for line in BAD_CONFIG_LINES])
+def test_bad_config_value_is_usage_error(tmp_path, data_dir, capsys, command, line):
     cfg_path = tmp_path / "config.txt"
-    cfg_path.write_text("dropout=1.5\n")
+    cfg_path.write_text(line + "\n")
     out = tmp_path / "out"
     code = main([command, "--data", str(data_dir / "train.csv"),
                  "--out", str(out), "--config", str(cfg_path)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "dropout" in err and str(cfg_path) in err
+    assert line.partition("=")[0] in err and "bad config" in err and str(cfg_path) in err
     assert not out.exists()                 # rejected before any work ran
 
 

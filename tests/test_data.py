@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,23 @@ def test_idx_u8_grid_round_trip(tmp_path):
     path = tmp_path / "rt.idx"
     write_idx_images(path, imgs)
     assert np.array_equal(load_mnist_idx(path), imgs)
+
+
+def test_idx_converts_only_the_kept_images(tmp_path):
+    n_file, n_keep = 3000, 300
+    path = tmp_path / "big.idx"
+    pixels = np.random.default_rng(5).integers(0, 256, size=(n_file, 784), dtype=np.uint8)
+    path.write_bytes(struct.pack(">IIII", 0x00000803, n_file, 28, 28) + pixels.tobytes())
+    tracemalloc.start()
+    try:
+        images = load_mnist_idx(path, n_limit=n_keep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(images, pixels[:n_keep] / 255.0)
+    # the float64 result plus its uint8 source, not the whole file
+    assert peak < 1.25 * images.nbytes
+    assert load_mnist_idx(path, n_limit=n_file + 1).shape == (n_file, 784)
 
 
 def test_idx_wrong_magic(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from measim.episodes import (
     ExplicitSelector,
-    RewardConfig,
     UniformSelector,
     horizon_for,
     rollout_batch,
@@ -48,10 +47,14 @@ def test_horizon_examples():
         horizon_for(100, -0.1)
 
 
-def test_reward_config_validation():
-    RewardConfig(k=1)
-    with pytest.raises(ValueError):
-        RewardConfig(k=0)
+def test_terminal_rewards_reject_k_below_one():
+    d = 5
+    model = constant_imputer(d, "sinusoid", 0.0)
+    roll = rollout_batch(make_policy(d, seed=17), np.ones((2, d)), 2, "stochastic",
+                         np.random.default_rng(18))
+    assert terminal_rewards_batch(model, roll, 1, np.random.default_rng(19)).shape == (2,)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        terminal_rewards_batch(model, roll, 0, np.random.default_rng(19))
 
 
 # ---------------------------------------------------------------- x̄ sampling
@@ -285,7 +288,7 @@ def test_terminal_reward_zero_when_candidate_exact():
     model = constant_imputer(d, "sinusoid", x_bar[0])
     policy = make_policy(d, seed=17)
     roll = rollout_batch(policy, x_bar, 2, "stochastic", np.random.default_rng(18))
-    r = terminal_rewards_batch(model, roll, RewardConfig(k=3), np.random.default_rng(19))
+    r = terminal_rewards_batch(model, roll, 3, np.random.default_rng(19))
     assert np.array_equal(r, [0.0])
 
 
@@ -295,7 +298,7 @@ def test_terminal_reward_negative_on_mismatch():
     x_bar = np.ones((1, d))
     policy = make_policy(d, seed=20)
     roll = rollout_batch(policy, x_bar, 2, "stochastic", np.random.default_rng(21))
-    r = terminal_rewards_batch(model, roll, RewardConfig(k=2), np.random.default_rng(22))
+    r = terminal_rewards_batch(model, roll, 2, np.random.default_rng(22))
     # three unobserved ones against constant-zero imputations
     assert r.shape == (1,)
     assert np.isclose(r[0], -np.sqrt(3.0 / 5.0), atol=1e-12)
@@ -307,7 +310,7 @@ def test_batch_rewards_match_shape_and_sign():
     policy = make_policy(d, seed=24)
     x_bar = np.random.default_rng(25).normal(size=(8, d))
     roll = rollout_batch(policy, x_bar, 3, "explore", np.random.default_rng(26))
-    rewards = terminal_rewards_batch(model, roll, RewardConfig(k=3),
+    rewards = terminal_rewards_batch(model, roll, 3,
                                      np.random.default_rng(27))
     assert rewards.shape == (8,)
     assert np.all(rewards <= 0.0)

@@ -634,6 +634,17 @@ def test_adapt_combined_step_matches_explicit_combination():
         assert np.array_equal(got, expect)
 
 
+def test_adapt_rejects_non_finite_gradient():
+    model, mv, mm, tv, tm, xb = adapt_fixture()
+    before = [p.copy() for p in model.net.params()]
+    xb = xb.copy()
+    xb[:, 0] = np.nan                       # a NaN target gives NaN supervised grads
+    with pytest.raises(nn.NonFiniteGradientError):
+        adapt_step(model, mv, mm, tv, tm, xb, 0.1, 0.05, ImputerLossConfig(),
+                   np.random.default_rng(39), np.random.default_rng(40))
+    assert all(np.array_equal(a, b) for a, b in zip(before, model.net.params()))
+
+
 def test_imputation_diversity_after_training():
     train, _ = gen_sinusoid_dataset(n_train=48, n_test=1, seed=45)
     ds = mask_dataset(train, 20,

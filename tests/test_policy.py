@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from measim import nn
 from measim.episodes import rollout_batch
 from measim.policy import (
     PolicyModel,
-    ReinforceConfig,
     StepBatch,
     actor_gradient,
     advantages_for,
@@ -282,7 +279,7 @@ def test_critic_update_fits_constant_reward():
     first = None
     for _ in range(300):
         steps = [make_step_batch(model, n=8, e=0.0, rng=rng)]
-        loss = critic_update(model, steps, rewards)
+        loss, _ = critic_update(model, steps, rewards, normalize=True)
         if first is None:
             first = loss
     assert loss < first * 0.01
@@ -290,12 +287,13 @@ def test_critic_update_fits_constant_reward():
     assert np.all(np.abs(v[:, 0] - (-0.7)) < 0.05)
 
 
-def test_shared_critic_forward_matches_separate_forwards(monkeypatch):
+def test_critic_update_returns_advantages_of_its_one_forward(monkeypatch):
     model = build_policy(5, actor_hidden=(8,), critic_hidden=(6,), dropout=0.1,
                          rng=np.random.default_rng(30))
     rng = np.random.default_rng(31)
     steps = rollout_batch(model, rng.normal(size=(6, 5)), 3, "explore", rng).steps
     rewards = rng.normal(size=6)
+    before = model.copy()
     separate = model.copy()
 
     critic_rows = []
@@ -307,18 +305,13 @@ def test_shared_critic_forward_matches_separate_forwards(monkeypatch):
         return forward(net, x, *args, **kwargs)
 
     monkeypatch.setattr(nn, "forward", counting_forward)
-    raw = advantages_for(model, steps, rewards, normalize=False)
-    adv = advantages_for(model, steps, rewards, normalize=True)
-    loss = critic_update(model, steps, rewards)
+    loss, adv = critic_update(model, steps, rewards, normalize=True)
     assert sum(critic_rows) == 6 * len(steps)       # one forward per state
 
-    # reference: each call runs its own forward, on records without a kept tape
-    def fresh():
-        return [dataclasses.replace(s, critic=None) for s in steps]
-
-    adv_ref = advantages_for(separate, fresh(), rewards, normalize=True)
-    loss_ref = critic_update(separate, fresh(), rewards)
-    assert sum(critic_rows) == 3 * 6 * len(steps)
+    # reference: advantages from the critic before the update, and the same
+    # update taken on its own
+    adv_ref = advantages_for(before, steps, rewards, normalize=True)
+    loss_ref, _ = critic_update(separate, steps, rewards, normalize=False)
 
     def same_bits(xs, ys):
         return all(np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
@@ -329,10 +322,12 @@ def test_shared_critic_forward_matches_separate_forwards(monkeypatch):
     assert same_bits(model.critic.params(), separate.critic.params())
     assert same_bits(model.critic_opt.m + model.critic_opt.v,
                      separate.critic_opt.m + separate.critic_opt.v)
+    raw = advantages_for(before, steps, rewards, normalize=False)
+    assert same_bits(critic_update(before.copy(), steps, rewards, normalize=False)[1], raw)
 
-    # the update bumped the critic's version, so the kept tapes are not reused
+    # advantages_for reads the critic as it stands now, after the update
     after = advantages_for(model, steps, rewards, normalize=False)
-    assert same_bits(after, advantages_for(separate, fresh(), rewards, normalize=False))
+    assert same_bits(after, advantages_for(separate, steps, rewards, normalize=False))
     assert not np.array_equal(after[0], raw[0])
 
 
@@ -419,12 +414,11 @@ def test_bandit_convergence():
     # two-armed bandit: reward +1 for action 0, -1 for action 1
     model = build_policy(2, actor_hidden=(16,), critic_hidden=(8,), dropout=0.1,
                          rng=np.random.default_rng(18))
-    cfg = ReinforceConfig(beta=0.3, normalize_advantages=True)
     rng = np.random.default_rng(19)
     for _ in range(500):
         step = make_step_batch(model, n=16, e=0.1, rng=rng)
         rewards = np.where(step.actions == 0, 1.0, -1.0)
-        reinforce_update(model, [step], rewards, cfg)
+        reinforce_update(model, [step], rewards, beta=0.3, normalize=True)
     dist = action_probs(model, np.zeros((1, 2)))
     assert dist[0, 0] > 0.9
 

@@ -10,7 +10,6 @@ import pytest
 
 from measim import helper, rngs, training
 from measim.episodes import (
-    RewardConfig,
     horizon_for,
     rollout_batch,
     terminal_rewards_batch,
@@ -123,6 +122,13 @@ def test_ablations_require_zero_meta_weight():
     (dict(pretrain_epochs=-1), "pretrain_epochs"),
     (dict(pretrain_batch=0), "pretrain_batch"),
     (dict(seed=-1), "seed"),
+    (dict(beta=float("nan")), "beta"),
+    (dict(critic_lr=float("inf")), "critic_lr"),
+    (dict(early_stop_tol=float("-inf")), "early_stop_tol"),
+    (dict(smoothness_weight=float("nan")), "smoothness_weight"),
+    (dict(self_mask_fraction=1.5), "self_mask_fraction"),
+    (dict(gaussian_kernel_sigma=0.0), "gaussian_kernel_sigma"),
+    (dict(smoothness_weight=-0.1), "smoothness_weight"),
 ])
 def test_config_rejects_bad_architecture_and_pretraining(override, name):
     with pytest.raises(ValueError, match=name):
@@ -459,7 +465,7 @@ def serial_joint_train(cfg, ds, imputer):
     """The full joint loop with E2 rolled in this process, in the loop's order."""
     n, d = len(ds), ds.dim
     horizon = horizon_for(d, cfg.missing_rate)
-    loss_cfg, reward_cfg, seed = cfg.loss_config(), RewardConfig(k=cfg.k_reward), cfg.seed
+    loss_cfg, seed = cfg.loss_config(), cfg.seed
     imputer = imputer.copy()
     policy = build_policy(d, actor_hidden=cfg.actor_hidden, critic_hidden=cfg.critic_hidden,
                           dropout=cfg.dropout, critic_lr=cfg.critic_lr,
@@ -471,7 +477,7 @@ def serial_joint_train(cfg, ds, imputer):
         xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
         roll1 = rollout_batch(policy, xbar, horizon, "explore",
                               rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
-        r1 = terminal_rewards_batch(imputer, roll1, reward_cfg,
+        r1 = terminal_rewards_batch(imputer, roll1, cfg.k_reward,
                                     rngs.substream(seed, rngs.REWARD_1, i))
         phi_new, _ = adapt_step(imputer, mv, mm, roll1.terminal_values, roll1.terminal_masks,
                                 xbar, cfg.alpha, cfg.alpha_prime, loss_cfg,
@@ -479,17 +485,15 @@ def serial_joint_train(cfg, ds, imputer):
                                 rngs.substream(seed, rngs.ADAPT_META, i, 1))
         roll2 = rollout_batch(policy, xbar, horizon, "stochastic",
                               rngs.substream(seed, rngs.EPISODE_2, i))
-        r2 = terminal_rewards_batch(phi_new, roll2, reward_cfg,
+        r2 = terminal_rewards_batch(phi_new, roll2, cfg.k_reward,
                                     rngs.substream(seed, rngs.REWARD_2, i))
         adv1 = advantages_for(policy, roll1.steps, r1, cfg.normalize_advantages)
         g1 = actor_gradient(policy, roll1.steps, adv1)
         adv2 = advantages_for(policy, roll2.steps, r2, cfg.normalize_advantages)
         g2 = actor_gradient(policy, roll2.steps, adv2)
-        critic_loss = critic_update(policy, roll1.steps, r1)
-        for p, a, b in zip(policy.actor.params(), g1, g2):
-            p -= cfg.beta * a
-            p -= cfg.beta_prime * b
-        policy.actor.version += 1
+        critic_loss, _ = critic_update(policy, roll1.steps, r1, cfg.normalize_advantages)
+        policy.actor.assign([p - cfg.beta * a - cfg.beta_prime * b
+                             for p, a, b in zip(policy.actor.params(), g1, g2)])
         roll3 = rollout_batch(policy, xbar, horizon, "stochastic",
                               rngs.substream(seed, rngs.EPISODE_3, i), grad=False)
         imputer, losses = adapt_step(imputer, mv, mm, roll3.terminal_values,
