@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn, rngs
 from .data import MNIST_STEMS, find_mnist_file, gen_sinusoid_dataset, mnist12_dataset
-from .episodes import ExplicitSelector, UniformSelector
+from .episodes import ExplicitSelector, UniformSelector, horizon_for
 from .evaluate import EvalReport, eval_policy, sweep_missing_rates, write_sweep_csv
 from .imputer import load_imputer, save_imputer
 from .masks import load_missing_csv, mask_dataset, mcar_spec, save_missing_csv
@@ -24,6 +24,8 @@ from .training import (
     JointConfig,
     joint_train,
     load_config,
+    load_run_csv,
+    params_checksum,
     pretrain_imputer,
     write_config,
 )
@@ -176,23 +178,49 @@ def require_same_width(*named) -> None:
                            f"coordinates wide, {what_b} {path_b} is {width_b}")
 
 
+def require_matching_rate(cfg: JointConfig, ds, path) -> None:
+    """Every row of the training data observes as many coordinates as an
+    episode at cfg.missing_rate measures; otherwise a usage error naming
+    both rates."""
+    horizon = horizon_for(ds.dim, cfg.missing_rate)
+    counts = np.unique(ds.masks.sum(axis=1)).astype(int).tolist()
+    if len(ds) and counts != [horizon]:
+        rates = "/".join(f"{1.0 - c / ds.dim:g}" for c in counts)
+        raise CliError(f"missing-rate mismatch: {path} has missing rate {rates}, "
+                       f"the config's is {cfg.missing_rate:g}; pass --missing-rate")
+
+
 def require_run_files(run_dir) -> dict:
     paths = {
         "config": os.path.join(run_dir, "config.txt"),
+        "run": os.path.join(run_dir, "run.csv"),
         "actor": os.path.join(run_dir, "actor.ckpt"),
         "critic": os.path.join(run_dir, "critic.ckpt"),
         "imputer": os.path.join(run_dir, "imputer.ckpt"),
     }
     for name, path in paths.items():
         if not os.path.exists(path):
-            kind = "file" if name == "config" else "checkpoint"
+            kind = "file" if name in ("config", "run") else "checkpoint"
             raise CliError(f"missing {kind}: {path}")
     return paths
 
 
+def require_recorded_checksums(paths, policy, imputer) -> None:
+    """The run's checkpoints have the parameter checksums its run.csv
+    records; a swapped checkpoint is a usage error naming the file."""
+    _, meta = load_run_csv(paths["run"])
+    recorded = meta.get("checksums", {})
+    for name, net in (("actor", policy.actor), ("critic", policy.critic),
+                      ("imputer", imputer.net)):
+        if params_checksum(net) != recorded.get(name):
+            raise CliError(f"checkpoint {paths[name]} does not match the {name} checksum "
+                           f"recorded in {paths['run']}")
+
+
 def _load_run(args):
     """The --run directory's config, policy and imputer, and the --data test
-    set, checked to share one width and to carry ground truth."""
+    set, checked to share one width, to be the checkpoints run.csv records
+    and to carry ground truth."""
     paths = require_run_files(args.run)
     cfg = load_config(paths["config"])
     policy = load_policy(paths["actor"], paths["critic"])
@@ -201,6 +229,7 @@ def _load_run(args):
     require_same_width(("policy", paths["actor"], policy.d),
                        ("imputer", paths["imputer"], imputer.d),
                        ("data", args.data, ds.dim))
+    require_recorded_checksums(paths, policy, imputer)
     if ds.ground_truth is None:
         raise CliError(f"test data has no ground-truth columns: {args.data}")
     return cfg, policy, imputer, ds
@@ -268,6 +297,7 @@ def cmd_train_joint(args) -> int:
         imputer = load_imputer(args.imputer)
         require_same_width(("imputer", args.imputer, imputer.d),
                            ("data", args.data, ds.dim))
+    require_matching_rate(cfg, ds, args.data)
     policy, imputer, record = joint_train(cfg, ds, imputer=imputer, out_dir=args.out,
                                           trace_episodes=args.trace_episodes)
     if record.stats:

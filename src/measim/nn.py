@@ -1,8 +1,12 @@
 """Dense-network substrate: forward/backward, inverted dropout, SGD/Adam,
 finite-difference gradient checking, and a binary checkpoint format.
 
-Everything is float64.  Networks are plain MLPs; a forward pass records a
-tape so the matching backward pass can replay activations and dropout masks.
+Each net computes in the dtype of its parameters, float64 unless built
+otherwise: forward casts its input and backward its upstream gradient to it,
+and the optimizer keeps it.  The policy nets are float32 and the imputer
+float64 (policy.build_policy, imputer.build_imputer).  Networks are plain
+MLPs; a forward pass records a tape so the matching backward pass can replay
+activations and dropout masks.
 """
 
 from __future__ import annotations
@@ -18,7 +22,11 @@ HIDDEN_ACTS = ("tanh", "relu")
 OUTPUT_ACTS = ("identity", "sigmoid")
 
 CHECKPOINT_MAGIC = b"AMJL"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# Parameter dtypes by the item size that v2 checkpoints store as their dtype
+# byte.  Version 1 has no dtype byte and holds float64.
+ITEMSIZE_DTYPES = {4: np.dtype(np.float32), 8: np.dtype(np.float64)}
 
 # Role byte stored in checkpoints so loaders can reject the wrong kind of net.
 ROLE_GENERIC = 0
@@ -60,7 +68,7 @@ def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return 1.0 - a * a
     if name == "relu":
-        return (a > 0.0).astype(np.float64)
+        return (a > 0.0).astype(a.dtype)
     if name == "sigmoid":
         return a * (1.0 - a)
     raise ValueError(f"unknown activation {name!r}")
@@ -70,9 +78,11 @@ class DenseNet:
     """Fully connected network with per-hidden-layer inverted dropout.
 
     weights[i] has shape (dims[i+1], dims[i]); hidden layers share one
-    activation, the output layer gets its own.  `version` counts parameter
-    mutations so stale tapes can be rejected; step and assign are the only
-    ways parameters change.
+    activation, the output layer gets its own.  Every parameter has the
+    net's dtype, float32 or float64; initial weights are drawn in float64
+    and then cast, so a net draws the same numbers in either dtype.
+    `version` counts parameter mutations so stale tapes can be rejected;
+    step and assign are the only ways parameters change.
     """
 
     def __init__(
@@ -82,7 +92,10 @@ class DenseNet:
         output_activation: str = "identity",
         dropout_rates: list[float] | float | None = None,
         rng: np.random.Generator | None = None,
+        dtype=np.float64,
     ):
+        if np.dtype(dtype) not in ITEMSIZE_DTYPES.values():
+            raise ValueError(f"dtype must be float32 or float64, got {np.dtype(dtype)}")
         if len(layer_dims) < 2 or any(d <= 0 for d in layer_dims):
             raise ValueError(f"layer_dims must be >= 2 positive ints, got {layer_dims}")
         if hidden_activation not in HIDDEN_ACTS:
@@ -112,12 +125,17 @@ class DenseNet:
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+            self.weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in))
+                                .astype(dtype, copy=False))
+            self.biases.append(np.zeros(fan_out, dtype=dtype))
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
 
     @property
     def in_dim(self) -> int:
@@ -199,7 +217,7 @@ def forward(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=net.dtype)
     if a.ndim != 2 or a.shape[1] != net.in_dim:
         raise ValueError(f"input of shape {a.shape} is not a (batch, {net.in_dim}) matrix: "
                          f"net expects {net.in_dim} features per row")
@@ -244,15 +262,15 @@ def backward(
 ) -> list[np.ndarray]:
     """Chain-rule the loss gradient wrt the output back to parameters.
 
-    Returns the grads in params() order; the gradient wrt the network input
-    is not formed.  Gradients sum over the batch dimension; callers scale the
-    upstream gradient for mean losses.
+    Returns the grads in params() order, in the net's dtype; the gradient
+    wrt the network input is not formed.  Gradients sum over the batch
+    dimension; callers scale the upstream gradient for mean losses.
     """
     if tape.version != net.version:
         raise StaleTapeError(
             f"tape recorded at parameter version {tape.version}, net is at {net.version}"
         )
-    up = np.asarray(upstream, dtype=np.float64)
+    up = np.asarray(upstream, dtype=net.dtype)
     if up.shape != tape.output.shape:
         raise ValueError(f"upstream gradient shape {up.shape} != output shape {tape.output.shape}")
 
@@ -274,7 +292,7 @@ def backward(
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; Adam moments mirror parameter shapes exactly."""
+    """SGD or Adam state; Adam moments mirror parameter shapes and dtypes."""
 
     kind: str = "sgd"
     lr: float = 1e-3
@@ -371,12 +389,16 @@ def grad_check(net: DenseNet, x: np.ndarray, loss_fn, h: float = 1e-5) -> float:
 
 
 def save_checkpoint(net: DenseNet, path, role: int = 0) -> None:
-    """Binary dump: magic, format version, role byte, dims, activation tags,
-    dropout rates, then row-major float64 weight/bias arrays.  Bit-exact."""
+    """Binary dump: magic, format version, role byte, dtype byte (the
+    parameters' item size), dims, activation tags, float64 dropout rates,
+    then the row-major weight/bias arrays in the net's dtype, little-endian.
+    Bit-exact."""
+    code = net.dtype.itemsize
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<I", CHECKPOINT_VERSION)
     buf += struct.pack("<B", role)
+    buf += struct.pack("<B", code)
     buf += struct.pack("<I", len(net.layer_dims))
     for d in net.layer_dims:
         buf += struct.pack("<I", d)
@@ -384,15 +406,16 @@ def save_checkpoint(net: DenseNet, path, role: int = 0) -> None:
         buf += struct.pack("<B", ACT_CODES[net._activation_for(i)])
     for r in net.dropout_rates:
         buf += struct.pack("<d", r)
-    for w, b in zip(net.weights, net.biases):
-        buf += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        buf += np.ascontiguousarray(b, dtype="<f8").tobytes()
+    for p in net.params():
+        buf += np.ascontiguousarray(p, dtype=f"<f{code}").tobytes()
     with open(path, "wb") as f:
         f.write(bytes(buf))
 
 
 def load_checkpoint(path) -> tuple[DenseNet, int]:
-    """Inverse of save_checkpoint; returns (net, role byte)."""
+    """Inverse of save_checkpoint; returns (net, role byte).  The net has the
+    dtype the file records; a version 1 file, which has no dtype byte, holds
+    float64."""
     with open(path, "rb") as f:
         raw = f.read()
 
@@ -408,9 +431,15 @@ def load_checkpoint(path) -> tuple[DenseNet, int]:
     if take(4, "magic") != CHECKPOINT_MAGIC:
         raise ValueError("bad checkpoint magic; not a model checkpoint")
     (version,) = struct.unpack("<I", take(4, "format version"))
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint format version {version}")
     (role,) = struct.unpack("<B", take(1, "role"))
+    code = 8
+    if version > 1:
+        (code,) = struct.unpack("<B", take(1, "dtype"))
+        if code not in ITEMSIZE_DTYPES:
+            raise ValueError(f"unknown dtype code {code}")
+    dtype = ITEMSIZE_DTYPES[code]
     (n_dims,) = struct.unpack("<I", take(4, "dim count"))
     dims = [struct.unpack("<I", take(4, "dims"))[0] for _ in range(n_dims)]
     n_layers = n_dims - 1
@@ -428,13 +457,13 @@ def load_checkpoint(path) -> tuple[DenseNet, int]:
     hidden_act = CODE_ACTS[tags[0]] if n_layers > 1 else "tanh"
     output_act = CODE_ACTS[tags[-1]]
     net = DenseNet(dims, hidden_activation=hidden_act, output_activation=output_act,
-                   dropout_rates=rates)
+                   dropout_rates=rates, dtype=dtype)
     for i in range(n_layers):
         wsize = dims[i + 1] * dims[i]
-        w = np.frombuffer(take(8 * wsize, f"layer {i} weights"), dtype="<f8")
-        b = np.frombuffer(take(8 * dims[i + 1], f"layer {i} bias"), dtype="<f8")
-        net.weights[i] = w.reshape(dims[i + 1], dims[i]).copy()
-        net.biases[i] = b.copy()
+        w = np.frombuffer(take(code * wsize, f"layer {i} weights"), dtype=f"<f{code}")
+        b = np.frombuffer(take(code * dims[i + 1], f"layer {i} bias"), dtype=f"<f{code}")
+        net.weights[i] = w.reshape(dims[i + 1], dims[i]).astype(dtype)
+        net.biases[i] = b.astype(dtype)
     if off != len(raw):
         raise ValueError(f"checkpoint has {len(raw) - off} trailing bytes")
     return net, role

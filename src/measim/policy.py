@@ -5,6 +5,9 @@ distribution over the still-unobserved ones, so already-measured coordinates
 have exactly zero probability.  Exploration flattens that distribution toward
 uniform over the unobserved coordinates only.  Policy stochasticity beyond
 the categorical draw comes from actor dropout during rollouts.
+
+Actor and critic compute in float32 (POLICY_DTYPE); states, probabilities,
+rewards and advantages stay float64.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+
+POLICY_DTYPE = np.float32
 
 
 @dataclass
@@ -52,17 +57,19 @@ def build_policy(
     rng: np.random.Generator | None = None,
 ) -> PolicyModel:
     actor = nn.DenseNet([2 * d, *actor_hidden, d], hidden_activation="tanh",
-                        dropout_rates=dropout, rng=rng)
-    critic = nn.DenseNet([2 * d, *critic_hidden, 1], hidden_activation="tanh", rng=rng)
+                        dropout_rates=dropout, rng=rng, dtype=POLICY_DTYPE)
+    critic = nn.DenseNet([2 * d, *critic_hidden, 1], hidden_activation="tanh", rng=rng,
+                         dtype=POLICY_DTYPE)
     return PolicyModel(actor, critic, nn.OptimizerState(kind="adam", lr=critic_lr))
 
 
 def masked_softmax(scores: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """(B, D) probs over unobserved coordinates, exact zeros on observed ones."""
+    """(B, D) float64 probs over unobserved coordinates, exact zeros on
+    observed ones.  Scores of any float dtype are upcast before the exp."""
     if np.any(masks.sum(axis=1) >= masks.shape[1]):
         raise ValueError("fully observed state has no legal action")
     unobs = masks == 0.0
-    shifted = np.where(unobs, scores, -np.inf)
+    shifted = np.where(unobs, np.asarray(scores, dtype=np.float64), -np.inf)
     peak = shifted.max(axis=1, keepdims=True)
     ex = np.where(unobs, np.exp(shifted - peak), 0.0)
     return ex / ex.sum(axis=1, keepdims=True)
@@ -259,6 +266,10 @@ def save_policy(model: PolicyModel, actor_path, critic_path) -> None:
 
 def load_policy(actor_path, critic_path,
                 critic_opt: nn.OptimizerState | None = None) -> PolicyModel:
+    """The nets in the dtype their checkpoints record, never cast: float32
+    for a policy build_policy made, so a reloaded run evaluates to the bits
+    of the policy it saved.  A version 1 checkpoint loads as the float64 net
+    it holds."""
     actor, role_a = nn.load_checkpoint(actor_path)
     if role_a != nn.ROLE_ACTOR:
         raise ValueError(f"checkpoint role {role_a} is not an actor checkpoint")

@@ -6,9 +6,10 @@ import pytest
 from measim import cli
 from measim.cli import main, preset_config
 from measim.data import gen_stroke_digits, write_idx_images
+from measim.evaluate import eval_policy, write_sweep_csv
 from measim.imputer import build_imputer, save_imputer
 from measim.masks import MissingDataset, load_missing_csv, save_missing_csv
-from measim.training import JointConfig, load_config, write_config
+from measim.training import JointConfig, joint_train, load_config, write_config
 
 
 def tiny_cfg(**overrides) -> JointConfig:
@@ -249,6 +250,72 @@ def test_eval_writes_report(run_dir, data_dir, capsys):
     out = capsys.readouterr().out
     assert "proposed" in out and "top1=" in out
     assert (run_dir / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+def test_eval_of_a_run_directory_equals_the_in_memory_policy(tmp_path, data_dir, mode):
+    # the checkpoints reload to the very nets training ended with, float32
+    # policy included, so evaluating the run reproduces every bit
+    cfg = tiny_cfg()
+    run = tmp_path / "run"
+    policy, imputer, _ = joint_train(cfg, load_missing_csv(data_dir / "train.csv"),
+                                     out_dir=run)
+    report = eval_policy(policy, imputer, load_missing_csv(data_dir / "test.csv"),
+                         cfg.missing_rate, k=2, n_seeds=2, eval_mode=mode,
+                         trained_rate=cfg.missing_rate)
+    write_sweep_csv(report, tmp_path / "in_memory.csv")
+    assert main(["eval", "--run", str(run), "--data", str(data_dir / "test.csv"),
+                 "--k", "2", "--n-seeds", "2", "--mode", mode]) == 0
+    assert (run / "eval.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_swapped_checkpoint_is_usage_error_naming_it(tmp_path, run_dir, data_dir, capsys,
+                                                     command):
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(), cfg_path)
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--data", str(data_dir / "train.csv"),
+                 "--out", str(pre), "--config", str(cfg_path)]) == 0
+    (run_dir / "imputer.ckpt").write_bytes((pre / "imputer.ckpt").read_bytes())
+    before = sorted(p.name for p in run_dir.iterdir())
+    capsys.readouterr()
+    out = tmp_path / "report.csv"
+    rates = ["--rates", "0.9"] if command == "sweep" else []
+    code = main([command, "--run", str(run_dir), "--data", str(data_dir / "test.csv"),
+                 *rates, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(run_dir / "imputer.ckpt") in err and "checksum" in err
+    assert not out.exists()
+    assert sorted(p.name for p in run_dir.iterdir()) == before
+
+
+def test_eval_without_run_log_names_it(run_dir, data_dir, capsys):
+    os.remove(run_dir / "run.csv")
+    code = main(["eval", "--run", str(run_dir), "--data", str(data_dir / "test.csv")])
+    assert code == 1
+    assert "run.csv" in capsys.readouterr().err
+
+
+def test_train_joint_rejects_data_of_another_missing_rate(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--dataset", "sin-single", "--seed", "5", "--missing-rate",
+                 "0.8", "--out", str(data), "--n-train", "8", "--n-test", "2"]) == 0
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(), cfg_path)                 # trains at 0.9
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = main(["train-joint", "--data", str(data / "train.csv"),
+                 "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "missing-rate mismatch" in err and "0.8" in err and "0.9" in err
+    assert str(data / "train.csv") in err
+    assert not out.exists()
+    # the same data at its own rate trains
+    assert main(["train-joint", "--data", str(data / "train.csv"), "--config",
+                 str(cfg_path), "--missing-rate", "0.8", "--out", str(out)]) == 0
 
 
 def test_eval_rejects_data_without_ground_truth(run_dir, data_dir, capsys):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,61 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_v2_roundtrip_keeps_dtype(tmp_path, dtype):
+    net = nn.DenseNet([5, 7, 3], dropout_rates=[0.25], rng=np.random.default_rng(59),
+                      dtype=dtype)
+    path = tmp_path / "net.ckpt"
+    nn.save_checkpoint(net, path, role=2)
+    loaded, _ = nn.load_checkpoint(path)
+    assert loaded.dtype == np.dtype(dtype)
+    for a, b in zip(net.params(), loaded.params(), strict=True):
+        assert a.dtype == b.dtype == np.dtype(dtype)
+        assert a.tobytes() == b.tobytes()
+    x = np.random.default_rng(60).normal(size=(4, 5))
+    assert nn.forward(net, x)[0].tobytes() == nn.forward(loaded, x)[0].tobytes()
+
+
+def test_checkpoint_v1_loads_as_float64(tmp_path):
+    # the version 1 layout, written out by hand: no dtype byte, float64 params
+    net = nn.DenseNet([3, 4, 2], dropout_rates=[0.5], rng=np.random.default_rng(63))
+    raw = b"AMJL" + struct.pack("<IBI", 1, nn.ROLE_ACTOR, 3) + struct.pack("<3I", 3, 4, 2)
+    raw += bytes([nn.ACT_CODES["tanh"], nn.ACT_CODES["identity"]]) + struct.pack("<d", 0.5)
+    raw += b"".join(p.astype("<f8").tobytes() for p in net.params())
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(raw)
+    loaded, role = nn.load_checkpoint(path)
+    assert role == nn.ROLE_ACTOR
+    assert loaded.dtype == np.float64
+    assert loaded.dropout_rates == [0.5]
+    for a, b in zip(net.params(), loaded.params(), strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_float32_net_draws_float64_init_then_casts():
+    # one RNG stream for every dtype: float32 weights are the float64 draws, cast
+    w64 = nn.DenseNet([6, 5, 2], rng=np.random.default_rng(64))
+    w32 = nn.DenseNet([6, 5, 2], rng=np.random.default_rng(64), dtype=np.float32)
+    for a, b in zip(w64.params(), w32.params(), strict=True):
+        assert b.dtype == np.float32
+        assert np.array_equal(a.astype(np.float32), b)
+
+
+@pytest.mark.parametrize("hidden", ["tanh", "relu"])
+def test_float32_net_computes_and_steps_in_float32(hidden):
+    net = nn.DenseNet([6, 5, 3], hidden_activation=hidden, dropout_rates=0.2,
+                      rng=np.random.default_rng(65), dtype=np.float32)
+    out, tape = nn.forward(net, np.ones((4, 6)), mode="train", rng=np.random.default_rng(66))
+    assert out.dtype == np.float32
+    grads = nn.backward(net, tape, np.ones((4, 3)))   # float64 upstream is cast
+    assert all(g.dtype == np.float32 for g in grads)
+    opt = nn.OptimizerState(kind="adam", lr=1e-2)
+    net.step(grads, opt)
+    assert all(p.dtype == np.float32 for p in net.params())
+    assert all(m.dtype == np.float32 for m in opt.m + opt.v)
+    assert net.copy().dtype == np.float32
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -339,7 +396,7 @@ def _patched_tags(tmp_path, tags):
     path = tmp_path / "tags.ckpt"
     nn.save_checkpoint(nn.DenseNet([3, 4, 4, 2]), path)
     raw = bytearray(path.read_bytes())
-    first = 4 + 4 + 1 + 4 + 4 * 4          # magic, version, role, dim count, dims
+    first = 4 + 4 + 1 + 1 + 4 + 4 * 4      # magic, version, role, dtype, dim count, dims
     raw[first:first + 3] = bytes(tags)
     path.write_bytes(bytes(raw))
     return path

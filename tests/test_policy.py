@@ -3,6 +3,7 @@ import pytest
 
 from measim import nn
 from measim.episodes import rollout_batch
+from measim.imputer import build_imputer
 from measim.policy import (
     PolicyModel,
     StepBatch,
@@ -112,6 +113,16 @@ def test_masked_softmax_extreme_scores_stable():
     assert np.all(np.isfinite(dist))
     assert abs(dist.sum() - 1.0) <= 1e-12
     assert dist[0] > dist[1] > dist[2]
+
+
+def test_masked_softmax_returns_float64_from_float32_scores():
+    scores = np.random.default_rng(4).normal(size=(64, 100)).astype(np.float32)
+    masks = np.zeros((64, 100))
+    masks[:, :30] = 1.0
+    probs = masked_softmax(scores, masks)
+    assert probs.dtype == np.float64
+    assert np.array_equal(probs, masked_softmax(scores.astype(np.float64), masks))
+    assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
 
 
 # ---------------------------------------------------------------- flattening
@@ -264,7 +275,8 @@ def test_advantages_hand_computation():
     steps = [make_step_batch(model, n=4, e=0.0, rng=np.random.default_rng(9))]
     rewards = np.array([1.0, 0.5, -0.5, 0.3])
     adv = advantages_for(model, steps, rewards, normalize=False)
-    assert np.allclose(adv[0], rewards - 0.3, atol=1e-15)
+    # the float32 critic's bias holds float32(0.3)
+    assert np.allclose(adv[0], rewards - float(np.float32(0.3)), atol=1e-15)
     normed = advantages_for(model, steps, rewards, normalize=True)[0]
     assert abs(normed.mean()) < 1e-12
     assert abs(normed.std() - 1.0) < 1e-6
@@ -314,7 +326,8 @@ def test_critic_update_returns_advantages_of_its_one_forward(monkeypatch):
     loss_ref, _ = critic_update(separate, steps, rewards, normalize=False)
 
     def same_bits(xs, ys):
-        return all(np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+        return all(np.asarray(x).dtype == np.asarray(y).dtype
+                   and np.asarray(x).tobytes() == np.asarray(y).tobytes()
                    for x, y in zip(xs, ys, strict=True))
 
     assert same_bits(adv, adv_ref)
@@ -436,6 +449,18 @@ def test_policy_checkpoint_round_trip(tmp_path):
     for a, b in zip(back.critic.params(), model.critic.params()):
         assert np.array_equal(a, b)
     assert back.actor.dropout_rates == model.actor.dropout_rates
+
+
+def test_policy_nets_are_float32_and_imputer_float64(tmp_path):
+    model = build_policy(5, actor_hidden=(7,), critic_hidden=(6,),
+                         rng=np.random.default_rng(22))
+    assert model.actor.dtype == model.critic.dtype == np.float32
+    save_policy(model, tmp_path / "actor.ckpt", tmp_path / "critic.ckpt")
+    back = load_policy(tmp_path / "actor.ckpt", tmp_path / "critic.ckpt")
+    assert back.actor.dtype == back.critic.dtype == np.float32
+    imputer = build_imputer(5, "sinusoid", noise_dim=2, hidden=(6,),
+                            rng=np.random.default_rng(23))
+    assert imputer.net.dtype == np.float64
 
 
 def test_load_policy_rejects_swapped_roles(tmp_path):
