@@ -5,6 +5,10 @@ vector; sampled completions always pass through `substitute_batch`, so observed
 coordinates are preserved bitwise.  Training is self-supervised: hide part of
 what is observed, reconstruct it.  The sinusoid variant takes an extra
 linear-interpolation channel and carries a Gaussian smoothness penalty.
+
+The net computes in float32 (IMPUTER_DTYPE); the data, the interpolation
+channel, completions, losses and the smoother matrix stay float64.  A loaded
+net keeps the dtype its checkpoint records (load_imputer).
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from . import nn
 from .masks import substitute_batch
 
 VARIANTS = ("image", "sinusoid")
+
+IMPUTER_DTYPE = np.float32
 
 
 @dataclass
@@ -73,7 +79,7 @@ def build_imputer(
     in_dim = (3 if variant == "sinusoid" else 2) * d + noise_dim
     out_act = "sigmoid" if variant == "image" else "identity"
     net = nn.DenseNet([in_dim, *hidden, d], hidden_activation="tanh",
-                      output_activation=out_act, rng=rng)
+                      output_activation=out_act, rng=rng, dtype=IMPUTER_DTYPE)
     return ImputerModel(net, noise_dim, variant)
 
 
@@ -123,6 +129,8 @@ def impute_batch(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
     noise term each draw adds to it before the remaining layers run.  Each
     draw's noise block follows the previous one's on rng and k=None takes the
     same path, so the result equals k successive k=None calls bit for bit.
+    The state inputs and each noise block are cast to the net's dtype before
+    their products, so every matmul runs in it; completions are float64.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
@@ -131,11 +139,13 @@ def impute_batch(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
         raise ValueError(f"state has {d} coordinates, imputer expects {model.d}")
     net = model.net
     width = net.in_dim - model.noise_dim
-    state_term = net_inputs(model, values, masks) @ net.weights[0][:, :width].T + net.biases[0]
+    state_in = net_inputs(model, values, masks).astype(net.dtype, copy=False)
+    state_term = state_in @ net.weights[0][:, :width].T + net.biases[0]
     noise_w = net.weights[0][:, width:].T
     out = np.empty((1 if k is None else k, b, d))
     for draw in out:
-        z0 = state_term + rng.standard_normal((b, model.noise_dim)) @ noise_w
+        noise = rng.standard_normal((b, model.noise_dim)).astype(net.dtype, copy=False)
+        z0 = state_term + noise @ noise_w
         draw[...] = substitute_batch(values, masks, nn.forward_from(net, z0))
     return out[0] if k is None else out
 
@@ -369,6 +379,9 @@ def save_imputer(model: ImputerModel, path) -> None:
 
 
 def load_imputer(path) -> ImputerModel:
+    """The imputer in the dtype its checkpoint records, never cast: float32
+    for one build_imputer made, and float64 for one saved before the imputer
+    was float32, which then imputes to its own bits."""
     net, role = nn.load_checkpoint(path)
     if role != nn.ROLE_IMPUTER:
         raise ValueError(f"checkpoint role {role} is not an imputer checkpoint")

@@ -3,8 +3,8 @@ finite-difference gradient checking, and a binary checkpoint format.
 
 Each net computes in the dtype of its parameters, float64 unless built
 otherwise: forward casts its input and backward its upstream gradient to it,
-and the optimizer keeps it.  The policy nets are float32 and the imputer
-float64 (policy.build_policy, imputer.build_imputer).  Networks are plain
+and the optimizer keeps it.  The policy nets and the imputer are float32
+(policy.build_policy, imputer.build_imputer).  Networks are plain
 MLPs; a forward pass records a tape so the matching backward pass can replay
 activations and dropout masks.
 """

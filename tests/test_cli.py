@@ -253,9 +253,11 @@ def test_eval_writes_report(run_dir, data_dir, capsys):
 
 
 @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
-def test_eval_of_a_run_directory_equals_the_in_memory_policy(tmp_path, data_dir, mode):
-    # the checkpoints reload to the very nets training ended with, float32
-    # policy included, so evaluating the run reproduces every bit
+def test_eval_of_a_run_directory_equals_the_in_memory_policy(tmp_path, data_dir, mode,
+                                                             monkeypatch):
+    # the checkpoints reload to the very nets training ended with, in their
+    # own float32 dtype and parameter bytes, so evaluating the run reproduces
+    # every bit
     cfg = tiny_cfg()
     run = tmp_path / "run"
     policy, imputer, _ = joint_train(cfg, load_missing_csv(data_dir / "train.csv"),
@@ -264,9 +266,21 @@ def test_eval_of_a_run_directory_equals_the_in_memory_policy(tmp_path, data_dir,
                          cfg.missing_rate, k=2, n_seeds=2, eval_mode=mode,
                          trained_rate=cfg.missing_rate)
     write_sweep_csv(report, tmp_path / "in_memory.csv")
+    loaded = []
+
+    def spy(subject, imp, *args, **kwargs):
+        loaded.append((subject, imp))
+        return eval_policy(subject, imp, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "eval_policy", spy)
     assert main(["eval", "--run", str(run), "--data", str(data_dir / "test.csv"),
                  "--k", "2", "--n-seeds", "2", "--mode", mode]) == 0
     assert (run / "eval.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
+    [(back, back_imputer)] = loaded
+    for mine, theirs in ((policy.actor, back.actor), (policy.critic, back.critic),
+                         (imputer.net, back_imputer.net)):
+        assert theirs.dtype == mine.dtype == np.float32
+        assert [p.tobytes() for p in theirs.params()] == [p.tobytes() for p in mine.params()]
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])

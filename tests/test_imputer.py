@@ -40,6 +40,17 @@ def constant_output_imputer(d, variant, out_bias, noise_dim=2):
     return model
 
 
+def float64_imputer(d, variant, noise_dim, hidden, rng):
+    """build_imputer's layout as a float64 net: the same code path as the
+    float32 imputer, at a precision where 1e-12 agreement and central
+    differences at h=1e-5 are meaningful."""
+    in_dim = (3 if variant == "sinusoid" else 2) * d + noise_dim
+    out_act = "sigmoid" if variant == "image" else "identity"
+    net = nn.DenseNet([in_dim, *hidden, d], hidden_activation="tanh",
+                      output_activation=out_act, rng=rng, dtype=np.float64)
+    return ImputerModel(net, noise_dim, variant)
+
+
 def params_vector(net):
     return np.concatenate([p.reshape(-1) for p in net.params()])
 
@@ -213,7 +224,7 @@ def test_impute_batch_matches_forward_on_concatenated_input(variant):
     # the shared state term splits the first layer's sum, so agreement with
     # one forward on [state inputs ++ noise] is to rounding, not bitwise
     rng = np.random.default_rng(19)
-    model = build_imputer(12, variant, noise_dim=4, hidden=(16, 16), rng=rng)
+    model = float64_imputer(12, variant, noise_dim=4, hidden=(16, 16), rng=rng)
     masks = (rng.random((30, 12)) < 0.3).astype(np.float64)
     vals = rng.random((30, 12)) * masks
     draws = impute_batch(model, vals, masks, np.random.default_rng(5), k=3)
@@ -225,6 +236,38 @@ def test_impute_batch_matches_forward_on_concatenated_input(variant):
         free = masks == 0.0
         assert np.allclose(draw[free], y[free], rtol=1e-12, atol=0.0)
         assert np.array_equal(draw[~free].view(np.uint64), vals[~free].view(np.uint64))
+
+
+@pytest.mark.parametrize("variant", ["sinusoid", "image"])
+def test_impute_batch_on_a_float32_net_multiplies_in_float32(variant, monkeypatch):
+    # the first layer's pre-activation is float32 only if both its products
+    # were: a float64 operand would promote the sum; the later layers then
+    # run on float32 activations.  Completions stay float64.
+    model = build_imputer(12, variant, noise_dim=4, hidden=(16, 16),
+                          rng=np.random.default_rng(19))
+    assert model.net.dtype == np.float32
+    seen = []
+    forward_from = nn.forward_from
+
+    def spy(net, z0):
+        seen.append(z0.dtype)
+        out = forward_from(net, z0)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(nn, "forward_from", spy)
+    rng = np.random.default_rng(20)
+    masks = (rng.random((30, 12)) < 0.3).astype(np.float64)
+    vals = rng.random((30, 12)) * masks
+    draws = impute_batch(model, vals, masks, np.random.default_rng(5), k=3)
+    assert seen == [np.float32] * 6
+    assert draws.dtype == np.float64
+    # the same initial draw as a float64 net computes the same function
+    wide = float64_imputer(12, variant, noise_dim=4, hidden=(16, 16),
+                           rng=np.random.default_rng(19))
+    ref = impute_batch(wide, vals, masks, np.random.default_rng(5), k=3)
+    assert np.allclose(draws, ref, rtol=1e-5, atol=1e-6)
+    assert not np.array_equal(draws, ref)
 
 
 # ------------------------------------------------------------ interpolation
@@ -396,8 +439,8 @@ def test_unsupervised_skips_underobserved_rows():
 
 
 def test_unsupervised_tiny_fraction_is_pure_smoothness():
-    model = build_imputer(10, "sinusoid", noise_dim=2, hidden=(6,),
-                          rng=np.random.default_rng(14))
+    model = float64_imputer(10, "sinusoid", noise_dim=2, hidden=(6,),
+                            rng=np.random.default_rng(14))
     lam, sigma = 0.7, 1.0
     cfg = ImputerLossConfig(self_mask_fraction=1e-9, smoothness_weight=lam,
                             gaussian_kernel_sigma=sigma)
@@ -413,8 +456,8 @@ def test_unsupervised_tiny_fraction_is_pure_smoothness():
 
 
 def test_unsupervised_gradient_matches_finite_differences():
-    model = build_imputer(6, "image", noise_dim=2, hidden=(8,),
-                          rng=np.random.default_rng(17))
+    model = float64_imputer(6, "image", noise_dim=2, hidden=(8,),
+                            rng=np.random.default_rng(17))
     rng = np.random.default_rng(18)
     values = rng.random((5, 6))
     masks = np.zeros((5, 6))
@@ -433,8 +476,8 @@ def test_unsupervised_gradient_matches_finite_differences():
 
 
 def test_unsupervised_gradient_with_smoothness_matches_fd():
-    model = build_imputer(8, "sinusoid", noise_dim=2, hidden=(6,),
-                          rng=np.random.default_rng(19))
+    model = float64_imputer(8, "sinusoid", noise_dim=2, hidden=(6,),
+                            rng=np.random.default_rng(19))
     rng = np.random.default_rng(20)
     masks = np.zeros((4, 8))
     for i in range(4):
@@ -477,8 +520,8 @@ def test_supervised_hand_examples():
 
 
 def test_supervised_gradient_matches_finite_differences():
-    model = build_imputer(6, "sinusoid", noise_dim=2, hidden=(7,),
-                          rng=np.random.default_rng(21))
+    model = float64_imputer(6, "sinusoid", noise_dim=2, hidden=(7,),
+                            rng=np.random.default_rng(21))
     rng = np.random.default_rng(22)
     masks = (rng.random((5, 6)) < 0.5).astype(np.float64)
     values = rng.normal(size=(5, 6)) * masks
@@ -514,6 +557,8 @@ def test_pretrain_constant_dataset_fits():
                                   np.random.default_rng(26))
     assert val < 1e-3
     assert curve[-1] < curve[0]
+    # the Adam moments follow the float32 parameters
+    assert all(a.dtype == np.float32 for a in [*model.net.params(), *opt.m, *opt.v])
 
 
 def test_pretrain_loss_curve_mostly_decreasing():
@@ -678,8 +723,35 @@ def test_imputer_checkpoint_round_trip(tmp_path):
         assert back.variant == variant
         assert back.noise_dim == 3
         assert back.d == 9
+        assert back.net.dtype == model.net.dtype == np.float32
         for a, b in zip(back.net.params(), model.net.params()):
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["sinusoid", "image"])
+def test_float64_imputer_checkpoint_loads_and_imputes_in_float64(tmp_path, variant):
+    # what `measim pretrain` wrote before the imputer was float32: it loads
+    # uncast and imputes to the float64 reference
+    rng = np.random.default_rng(52)
+    model = float64_imputer(12, variant, noise_dim=4, hidden=(16, 16), rng=rng)
+    path = tmp_path / "imputer.ckpt"
+    save_imputer(model, path)
+    back = load_imputer(path)
+    assert back.net.dtype == np.float64
+    for a, b in zip(back.net.params(), model.net.params()):
+        assert a.tobytes() == b.tobytes()
+    masks = (rng.random((30, 12)) < 0.3).astype(np.float64)
+    vals = rng.random((30, 12)) * masks
+    draws = impute_batch(back, vals, masks, np.random.default_rng(5), k=3)
+    assert np.array_equal(draws, impute_batch(model, vals, masks, np.random.default_rng(5), k=3))
+    noise_rng = np.random.default_rng(5)
+    free = masks == 0.0
+    for draw in draws:
+        x = np.concatenate([net_inputs(model, vals, masks),
+                            noise_rng.standard_normal((30, 4))], axis=1)
+        y = nn.forward(model.net, x, mode="eval")[0]
+        assert y.dtype == np.float64
+        assert np.allclose(draw[free], y[free], rtol=1e-12, atol=0.0)
 
 
 def test_load_imputer_rejects_wrong_role(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from measim import nn
 from measim.episodes import rollout_batch
-from measim.imputer import build_imputer
+from measim.imputer import build_imputer, load_imputer, save_imputer
 from measim.policy import (
     PolicyModel,
     StepBatch,
@@ -451,7 +451,7 @@ def test_policy_checkpoint_round_trip(tmp_path):
     assert back.actor.dropout_rates == model.actor.dropout_rates
 
 
-def test_policy_nets_are_float32_and_imputer_float64(tmp_path):
+def test_policy_and_imputer_nets_are_float32(tmp_path):
     model = build_policy(5, actor_hidden=(7,), critic_hidden=(6,),
                          rng=np.random.default_rng(22))
     assert model.actor.dtype == model.critic.dtype == np.float32
@@ -460,7 +460,9 @@ def test_policy_nets_are_float32_and_imputer_float64(tmp_path):
     assert back.actor.dtype == back.critic.dtype == np.float32
     imputer = build_imputer(5, "sinusoid", noise_dim=2, hidden=(6,),
                             rng=np.random.default_rng(23))
-    assert imputer.net.dtype == np.float64
+    assert imputer.net.dtype == np.float32
+    save_imputer(imputer, tmp_path / "imputer.ckpt")
+    assert load_imputer(tmp_path / "imputer.ckpt").net.dtype == np.float32
 
 
 def test_load_policy_rejects_swapped_roles(tmp_path):
