@@ -417,8 +417,6 @@ def _add_eval_flags(p):
     p.add_argument("--k", type=_positive_int, default=3, help="imputation draws per example")
     p.add_argument("--n-seeds", type=_positive_int, default=3)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--explicit-k", type=int, default=5,
-                   help="draws per step for the variance baseline")
 
 
 def build_parser() -> _Parser:
@@ -466,6 +464,8 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", type=_methods, default=",".join(METHODS))
     p.add_argument("--out", default=None)
     _add_eval_flags(p)
+    p.add_argument("--explicit-k", type=int, default=5,
+                   help="draws per step for the variance baseline")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("baseline", help="evaluate a baseline measurement order")
@@ -475,6 +475,8 @@ def build_parser() -> _Parser:
     p.add_argument("--missing-rate", type=_rate, default=0.9)
     p.add_argument("--out", default=None)
     _add_eval_flags(p)
+    p.add_argument("--explicit-k", type=int, default=5,
+                   help="draws per step for the variance baseline")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("grad-check", help="finite-difference check of backprop")

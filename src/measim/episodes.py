@@ -56,9 +56,9 @@ class Rollout:
 def _roll(x_bar: np.ndarray, horizon: int, decide) -> Rollout:
     """The one per-step loop: reveal one coordinate per row per step.
 
-    One (B, 2D) [values, masks] state advances in lockstep; decide(state)
-    returns each step's StepBatch.  A step that keeps its state owns it, and
-    the loop goes on in a copy; otherwise the state advances in place.
+    One (B, 2D) [values, masks] state advances in lockstep, in place;
+    decide(state) returns each step's StepBatch, which must not keep a
+    reference to state.
     """
     x_bar = np.asarray(x_bar, dtype=np.float64)
     if x_bar.ndim != 2:
@@ -75,8 +75,6 @@ def _roll(x_bar: np.ndarray, horizon: int, decide) -> Rollout:
         if np.any(state[rows, d + actions] == 1.0):
             raise RuntimeError(f"step {len(out.steps)} chose an already observed coordinate")
         out.steps.append(step)
-        if step.state is not None:
-            state = state.copy()
         state[rows, actions] = x_bar[rows, actions]
         state[rows, d + actions] = 1.0
     out.terminal_values = state[:, :d]
@@ -100,9 +98,11 @@ def rollout_batch(
     the scores (ties go to the lowest index).
 
     A step keeps its gradient inputs (state, tape, probs, sample_probs) only
-    in a train-mode rollout with grad=True.  Otherwise (greedy, or
-    grad=False) it keeps its actions alone.  The RNG draws are the same
-    either way, so the actions and the terminal state are too.
+    in a train-mode rollout with grad=True.  Its state is the actor's input,
+    the state cast once to the actor's dtype (astype copies, float64 too),
+    so s.state is s.tape.inputs[0].  Otherwise (greedy, or grad=False) it
+    keeps its actions alone.  The RNG draws are the same either way, so the
+    actions and the terminal state are too.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"mode must be one of {ROLLOUT_MODES}, got {mode!r}")
@@ -112,7 +112,8 @@ def rollout_batch(
         # whatever is not kept is released on return, before the next
         # step's forward allocates its own
         masks = state[:, state.shape[1] // 2:]
-        scores, tape = nn.forward(policy.actor, state,
+        x = state.astype(policy.actor.dtype)
+        scores, tape = nn.forward(policy.actor, x,
                                   mode="eval" if mode == "greedy" else "train", rng=rng)
         if mode == "greedy":
             actions = np.argmax(np.where(masks == 0.0, scores, -np.inf), axis=1)
@@ -121,7 +122,7 @@ def rollout_batch(
             sample_probs = flatten_explore(probs, masks, explore_e) if exploring else probs
             actions = sample_actions(sample_probs, rng)
             if grad:
-                return StepBatch(state, tape, probs, sample_probs, actions,
+                return StepBatch(x, tape, probs, sample_probs, actions,
                                  explore_e=explore_e if exploring else 0.0)
         return StepBatch(None, None, None, None, actions)
 

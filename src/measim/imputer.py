@@ -212,6 +212,26 @@ def self_mask(masks: np.ndarray, fraction: float, rng: np.random.Generator) -> n
     return hidden
 
 
+def _reconstruction(model: ImputerModel, values, masks, target, weight,
+                    rng: np.random.Generator) -> tuple[float, np.ndarray, np.ndarray, nn.Tape]:
+    """The two reconstruction losses' shared body, over a (b, d) block.
+
+    One noise draw and a train-mode forward on [net_inputs ++ noise], built
+    in float64; squared error to target where weight is 1, averaged per row
+    over max(weight count, 1), then over rows.  Returns (loss, its upstream
+    gradient wrt the output, output, tape).
+    """
+    b = values.shape[0]
+    noise = rng.standard_normal((b, model.noise_dim))
+    x = np.concatenate([net_inputs(model, values, masks), noise], axis=1)
+    y, tape = nn.forward(model.net, x, mode="train", rng=rng)
+    counts = np.maximum(weight.sum(axis=1), 1.0)
+    diff = (y - target) * weight
+    rows = (diff ** 2).sum(axis=1) / counts
+    upstream = 2.0 * diff / counts[:, None] / b
+    return float(rows.mean()), upstream, y, tape
+
+
 def loss_unsupervised(
     model: ImputerModel,
     values: np.ndarray,
@@ -229,34 +249,20 @@ def loss_unsupervised(
     """
     values = np.asarray(values, dtype=np.float64)
     masks = np.asarray(masks, dtype=np.float64)
-    n_obs = masks.sum(axis=1).astype(int)
-    kept = np.flatnonzero(n_obs >= 2)
+    kept = np.flatnonzero(masks.sum(axis=1) >= 2)
     info = {"skipped": int(values.shape[0] - kept.size)}
     if kept.size == 0:
         return 0.0, [np.zeros_like(p) for p in model.net.params()], info
 
-    v = values[kept]
-    m = masks[kept]
-    b = kept.size
+    v, m = values[kept], masks[kept]
     hidden = self_mask(m, cfg.self_mask_fraction, rng)
-
     reduced_mask = m - hidden
-    reduced_values = v * reduced_mask
-    z = rng.standard_normal((b, model.noise_dim))
-    x = np.concatenate([net_inputs(model, reduced_values, reduced_mask), z], axis=1)
-    y, tape = nn.forward(model.net, x, mode="train", rng=rng)
-
-    counts = hidden.sum(axis=1)
-    safe = np.maximum(counts, 1.0)
-    diff = (y - v) * hidden
-    recon_rows = (diff ** 2).sum(axis=1) / safe
-    upstream = 2.0 * diff / safe[:, None] / b
-
-    loss = float(recon_rows.mean())
+    loss, upstream, y, tape = _reconstruction(model, v * reduced_mask, reduced_mask,
+                                              v, hidden, rng)
     if cfg.smoothness_weight > 0.0:
         sm_rows, sm_grad = smoothness_penalty(y, cfg.gaussian_kernel_sigma)
         loss += cfg.smoothness_weight * float(sm_rows.mean())
-        upstream = upstream + cfg.smoothness_weight * sm_grad / b
+        upstream = upstream + cfg.smoothness_weight * sm_grad / kept.size
 
     grads = nn.backward(model.net, tape, upstream)
     info["predictions"] = y
@@ -282,24 +288,14 @@ def loss_supervised_batch(
     if xbar.shape != values.shape:
         raise ValueError(f"complete-data shape {xbar.shape} != state shape {values.shape}")
 
-    unobs = 1.0 - masks
-    counts = unobs.sum(axis=1)
-    scored = np.flatnonzero(counts > 0)
+    scored = np.flatnonzero((masks == 0.0).any(axis=1))
     if scored.size == 0:
         return 0.0, [np.zeros_like(p) for p in model.net.params()]
 
-    v, m, t = values[scored], masks[scored], xbar[scored]
-    b = scored.size
-    z = rng.standard_normal((b, model.noise_dim))
-    x = np.concatenate([net_inputs(model, v, m), z], axis=1)
-    y, tape = nn.forward(model.net, x, mode="train", rng=rng)
-
-    w = 1.0 - m
-    diff = (y - t) * w
-    rows = (diff ** 2).sum(axis=1) / counts[scored]
-    upstream = 2.0 * diff / counts[scored][:, None] / b
-    grads = nn.backward(model.net, tape, upstream)
-    return float(rows.mean()), grads
+    m = masks[scored]
+    loss, upstream, _, tape = _reconstruction(model, values[scored], m, xbar[scored],
+                                              1.0 - m, rng)
+    return loss, nn.backward(model.net, tape, upstream)
 
 
 def pretrain(

@@ -192,11 +192,10 @@ class Tape:
     function of its output.
     """
 
-    __slots__ = ("version", "mode", "inputs", "acts", "drop_masks", "output")
+    __slots__ = ("version", "inputs", "acts", "drop_masks", "output")
 
-    def __init__(self, version, mode, inputs, acts, drop_masks, output):
+    def __init__(self, version, inputs, acts, drop_masks, output):
         self.version = version
-        self.mode = mode
         self.inputs = inputs          # per-layer input, inputs[0] is the net input
         self.acts = acts              # per-layer post-activation (pre-dropout)
         self.drop_masks = drop_masks  # per-layer bool keep-mask or None
@@ -239,7 +238,7 @@ def forward(
         drop_masks.append(keep)
         a = h
 
-    return a, Tape(net.version, mode, inputs, acts, drop_masks, a)
+    return a, Tape(net.version, inputs, acts, drop_masks, a)
 
 
 def forward_from(net: DenseNet, z0: np.ndarray) -> np.ndarray:

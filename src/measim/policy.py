@@ -6,8 +6,8 @@ have exactly zero probability.  Exploration flattens that distribution toward
 uniform over the unobserved coordinates only.  Policy stochasticity beyond
 the categorical draw comes from actor dropout during rollouts.
 
-Actor and critic compute in float32 (POLICY_DTYPE); states, probabilities,
-rewards and advantages stay float64.
+Actor and critic compute in float32 (POLICY_DTYPE), and a kept step's state
+is their input; probabilities, rewards and advantages stay float64.
 """
 
 from __future__ import annotations
@@ -136,11 +136,12 @@ def sample_actions(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 class StepBatch:
     """One lockstep slice of a batched rollout, everything needed for grads.
 
-    Steps of a rollout that takes no gradient (greedy, or grad=False) keep
-    their actions alone; the other fields are None.
+    state is the actor's input, in its dtype: the same array as
+    tape.inputs[0].  Steps of a rollout that takes no gradient (greedy, or
+    grad=False) keep their actions alone; the other fields are None.
     """
 
-    state: np.ndarray | None    # (B, 2D) encoding [values, masks] before the action
+    state: np.ndarray | None    # (B, 2D) actor input [values, masks] before the action
     tape: nn.Tape | None        # actor forward tape
     probs: np.ndarray | None    # (B, D) plain masked softmax
     sample_probs: np.ndarray | None  # (B, D) distribution that sampled the action
@@ -264,18 +265,15 @@ def save_policy(model: PolicyModel, actor_path, critic_path) -> None:
     nn.save_checkpoint(model.critic, critic_path, role=nn.ROLE_CRITIC)
 
 
-def load_policy(actor_path, critic_path,
-                critic_opt: nn.OptimizerState | None = None) -> PolicyModel:
+def load_policy(actor_path, critic_path) -> PolicyModel:
     """The nets in the dtype their checkpoints record, never cast: float32
     for a policy build_policy made, so a reloaded run evaluates to the bits
     of the policy it saved.  A version 1 checkpoint loads as the float64 net
-    it holds."""
+    it holds.  The critic gets a fresh Adam optimizer at lr 1e-3."""
     actor, role_a = nn.load_checkpoint(actor_path)
     if role_a != nn.ROLE_ACTOR:
         raise ValueError(f"checkpoint role {role_a} is not an actor checkpoint")
     critic, role_c = nn.load_checkpoint(critic_path)
     if role_c != nn.ROLE_CRITIC:
         raise ValueError(f"checkpoint role {role_c} is not a critic checkpoint")
-    if critic_opt is None:
-        critic_opt = nn.OptimizerState(kind="adam", lr=1e-3)
-    return PolicyModel(actor, critic, critic_opt)
+    return PolicyModel(actor, critic, nn.OptimizerState(kind="adam", lr=1e-3))

@@ -348,6 +348,22 @@ def _require_finite(x, what: str, iteration: int) -> None:
         raise FloatingPointError(f"non-finite {what} at iteration {iteration}")
 
 
+def _adapt_round(policy: PolicyModel, imputer: ImputerModel, mv, mm, xbar,
+                 horizon: int, cfg: JointConfig, roll_rng, rng_unsup, rng_sup,
+                 iteration: int) -> tuple[ImputerModel, float, float]:
+    """The joint loop's E3 step and one fine-tune round: roll the policy
+    stochastically with no records, take one adapt_step on the terminal
+    states, and require both losses finite.  Returns (imputer, unsup, sup).
+    """
+    roll = rollout_batch(policy, xbar, horizon, "stochastic", roll_rng, grad=False)
+    imputer, losses = adapt_step(imputer, mv, mm, roll.terminal_values, roll.terminal_masks,
+                                 xbar, cfg.alpha, cfg.alpha_prime, cfg.loss_config(),
+                                 rng_unsup, rng_sup)
+    unsup, sup = losses["unsupervised"], losses["supervised"]
+    _require_finite([unsup, sup], "loss", iteration)
+    return imputer, unsup, sup
+
+
 class _E2Handler:
     """The joint loop's E2 chain, answering one request at a time.
 
@@ -437,7 +453,6 @@ def joint_train(
         raise ValueError("dataset is empty")
     d = dataset.dim
     horizon = horizon_for(d, cfg.missing_rate)
-    loss_cfg = cfg.loss_config()
     seed = cfg.seed
 
     if imputer is not None and imputer.d != d:
@@ -493,7 +508,7 @@ def joint_train(
                 # (3) hypothetical adaptation; the real imputer is untouched
                 phi_new, _ = adapt_step(imputer, mv, mm,
                                         roll1.terminal_values, roll1.terminal_masks, xbar,
-                                        cfg.alpha, cfg.alpha_prime, loss_cfg,
+                                        cfg.alpha, cfg.alpha_prime, cfg.loss_config(),
                                         rngs.substream(seed, rngs.ADAPT_META, i, 0),
                                         rngs.substream(seed, rngs.ADAPT_META, i, 1))
                 # (4) unflattened episodes, rewarded by the adapted imputer
@@ -526,18 +541,12 @@ def joint_train(
 
             unsup = sup = float("nan")
             if adapt:
-                # (6) episodes from the updated policy feed the real update
-                roll3 = rollout_batch(policy, xbar, horizon, "stochastic",
-                                      rngs.substream(seed, rngs.EPISODE_3, i), grad=False)
-                # (7) the one mutation of the imputer this iteration
-                imputer, losses = adapt_step(imputer, mv, mm,
-                                             roll3.terminal_values, roll3.terminal_masks,
-                                             xbar, cfg.alpha, cfg.alpha_prime, loss_cfg,
-                                             rngs.substream(seed, rngs.ADAPT_REAL, i, 0),
-                                             rngs.substream(seed, rngs.ADAPT_REAL, i, 1))
-                unsup, sup = losses["unsupervised"], losses["supervised"]
-                _require_finite([unsup, sup], "loss", i)
-                roll3 = None
+                # (6)-(7) E3 under the updated policy drives the real update
+                imputer, unsup, sup = _adapt_round(
+                    policy, imputer, mv, mm, xbar, horizon, cfg,
+                    rngs.substream(seed, rngs.EPISODE_3, i),
+                    rngs.substream(seed, rngs.ADAPT_REAL, i, 0),
+                    rngs.substream(seed, rngs.ADAPT_REAL, i, 1), i)
 
             record.stats.append(IterationStats(
                 iteration=i,
@@ -628,7 +637,6 @@ def finetune_after(
         raise ValueError("dataset is empty")
     d = dataset.dim
     horizon = horizon_for(d, cfg.missing_rate)
-    loss_cfg = cfg.loss_config()
     seed = cfg.seed
     model = imputer.copy()
     for i in range(cfg.finetune_iterations):
@@ -636,13 +644,8 @@ def finetune_after(
         mv = dataset.values[idx]
         mm = dataset.masks[idx]
         xbar = impute_batch(model, mv, mm, rngs.substream(seed, rngs.FINETUNE, i, 1))
-        roll = rollout_batch(policy, xbar, horizon, "stochastic",
-                             rngs.substream(seed, rngs.FINETUNE, i, 2), grad=False)
-        model, losses = adapt_step(model, mv, mm,
-                                   roll.terminal_values, roll.terminal_masks, xbar,
-                                   cfg.alpha, cfg.alpha_prime, loss_cfg,
+        model, _, _ = _adapt_round(policy, model, mv, mm, xbar, horizon, cfg,
+                                   rngs.substream(seed, rngs.FINETUNE, i, 2),
                                    rngs.substream(seed, rngs.FINETUNE, i, 3),
-                                   rngs.substream(seed, rngs.FINETUNE, i, 4))
-        if not np.isfinite(losses["unsupervised"]) or not np.isfinite(losses["supervised"]):
-            raise FloatingPointError(f"non-finite loss at fine-tune iteration {i}")
+                                   rngs.substream(seed, rngs.FINETUNE, i, 4), i)
     return model

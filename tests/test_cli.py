@@ -388,6 +388,7 @@ def test_sweep_rejects_unknown_method(run_dir, data_dir, capsys):
     ("train-joint", ["--seed", "-1"], "--seed"),
     ("grad-check", ["--seed", "-1"], "--seed"),
     ("grad-check", ["--nets", "0"], "--nets"),
+    ("eval", ["--explicit-k", "2"], "--explicit-k"),
 ])
 def test_bad_eval_flags_are_usage_errors_before_any_work(tmp_path, capsys, command,
                                                          flags, named):

@@ -94,10 +94,11 @@ def test_step_mask_cardinality_and_consistency():
     roll = rollout_batch(policy, x_bar, 5, "explore", np.random.default_rng(7))
     assert roll.horizon == 5
     for t, s in enumerate(roll.steps):
+        assert_kept_state(s, policy, roll)
         a = int(s.actions[0])
         assert s.masks.sum() == t
         obs = s.masks == 1.0
-        assert np.array_equal(s.values[obs], x_bar[obs])
+        assert np.array_equal(s.values[obs], x_bar.astype(policy.actor.dtype)[obs])
         assert s.masks[0, a] == 0.0
         log_prob = np.log(s.sample_probs[0, a])
         assert np.isfinite(log_prob) and log_prob <= 0.0
@@ -109,6 +110,14 @@ def test_step_mask_cardinality_and_consistency():
     for a in actions:
         rebuilt[0, a] = x_bar[0, a]
     assert np.array_equal(rebuilt, roll.terminal_values)
+
+
+def assert_kept_state(s, policy, roll):
+    """A kept step's state is its actor input, in the actor's dtype, and
+    shares no memory with the state the rollout went on to mutate."""
+    assert s.state is s.tape.inputs[0]
+    assert s.state.dtype == policy.actor.dtype
+    assert not np.shares_memory(s.state, roll.terminal_values)
 
 
 @pytest.mark.parametrize("mode", ["explore", "stochastic", "greedy"])
@@ -123,8 +132,10 @@ def test_step_records_keep_their_own_state(mode):
         if mode == "greedy":
             assert s.state is None and s.actions.shape == (b,)
             continue
+        assert_kept_state(s, policy, roll)
         assert np.array_equal(s.masks.sum(axis=1), np.full(b, float(t)))
-        assert np.array_equal(s.values, np.where(s.masks == 1.0, x_bar, 0.0))
+        assert np.array_equal(s.values,
+                              np.where(s.masks == 1.0, x_bar.astype(policy.actor.dtype), 0.0))
         assert np.shares_memory(s.values, s.state) and np.shares_memory(s.masks, s.state)
         assert np.all(s.masks[np.arange(b), s.actions] == 0.0)
     assert np.array_equal(roll.terminal_masks.sum(axis=1), np.full(b, float(horizon)))
@@ -194,9 +205,10 @@ def test_grad_false_rollout_keeps_actions_only_and_same_bits(mode):
     assert rng_full.bit_generator.state == rng_bare.bit_generator.state
 
 
-def held_states(mode, **kwargs):
-    """(B, 2D) states' worth of memory a B=720, D=100, 20-step rollout holds."""
-    b, d, horizon = 720, 100, 20
+def held_states(mode, b=720, **kwargs):
+    """(B, 2D) float64 states' worth of memory a B-row, D=100, 20-step
+    rollout holds."""
+    d, horizon = 100, 20
     policy = build_policy(d, rng=np.random.default_rng(18))
     x_bar = np.random.default_rng(19).normal(size=(b, d))
     tracemalloc.start()
@@ -209,6 +221,13 @@ def held_states(mode, **kwargs):
         tracemalloc.stop()
     assert roll.horizon == horizon
     return held / (b * 2 * d * 8)
+
+
+def test_kept_rollout_holds_one_state_per_step():
+    # each kept step holds its actor input alone, in the actor's float32
+    # (half a float64 state), beside its tape and probabilities; a second,
+    # float64 copy of every step's state would add 20 states' worth
+    assert held_states("explore", b=64) <= 75
 
 
 def test_greedy_rollout_holds_actions_only():

@@ -386,6 +386,33 @@ def test_non_finite_reward_aborts_with_iteration(monkeypatch):
         joint_train(cfg, ds, imputer=pre)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(ablation="no_meta", beta_prime=0.0, iterations=3),
+    dict(ablation="no_adaptation", beta_prime=0.0, iterations=1, finetune_iterations=3),
+], ids=["loop", "finetune"])
+def test_non_finite_adaptation_loss_aborts_with_iteration(monkeypatch, overrides):
+    # E3's real update and the fine-tune take the same adaptation round, so a
+    # non-finite loss names the iteration the same way in both
+    ds = tiny_dataset()
+    cfg = tiny_config(**overrides)
+    pre = pretrained_imputer(cfg, ds)
+    real = training.adapt_step
+    calls = 0
+
+    def poisoned(*args, **kwargs):
+        nonlocal calls
+        model, losses = real(*args, **kwargs)
+        calls += 1
+        if calls == 2:  # the second round's one adapt_step
+            losses = dict(losses, supervised=np.nan)
+        return model, losses
+
+    monkeypatch.setattr(training, "adapt_step", poisoned)
+    with pytest.raises(FloatingPointError, match="non-finite loss at iteration 1"):
+        joint_train(cfg, ds, imputer=pre)
+    assert calls == 2
+
+
 def test_early_stop_on_flat_rewards(monkeypatch):
     ds = tiny_dataset()
     cfg = tiny_config(iterations=50, early_stop_window=3)
