@@ -27,10 +27,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from measim import cli, rngs
-from measim.episodes import ExplicitSelector, UniformSelector
+from measim import cli, helper, rngs
+from measim.episodes import ExplicitSelector, UniformSelector, horizon_for
 from measim.evaluate import EvalReport, sweep_missing_rates, write_sweep_csv
-from measim.masks import mask_dataset, mcar_spec
+from measim.masks import mask_dataset
 from measim.training import ABLATIONS, joint_train, pretrain_imputer
 
 
@@ -71,7 +71,7 @@ def run(args) -> int:
     report = EvalReport()
     for rate in args.rates or [preset.missing_rate]:
         cfg = dataclasses.replace(preset, missing_rate=rate)
-        ds = mask_dataset(train, mcar_spec(train.shape[1], rate),
+        ds = mask_dataset(train, horizon_for(train.shape[1], rate),
                           rngs.substream(cfg.seed, rngs.DATA_MASK, 0))
         pre, curve = pretrain_imputer(cfg, ds)
         print(f"== {args.dataset} @ {rate:g}: pretrained {len(curve)} epochs, "
@@ -112,6 +112,7 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
+    helper.pin_blas()
     try:
         return run(parse_args(argv))
     except cli.CliError as e:

@@ -13,12 +13,12 @@ import sys
 
 import numpy as np
 
-from . import nn, rngs
+from . import helper, nn, rngs
 from .data import MNIST_STEMS, find_mnist_file, gen_sinusoid_dataset, mnist12_dataset
 from .episodes import ExplicitSelector, UniformSelector, horizon_for
 from .evaluate import EvalReport, eval_policy, sweep_missing_rates, write_sweep_csv
 from .imputer import load_imputer, save_imputer
-from .masks import load_missing_csv, mask_dataset, mcar_spec, save_missing_csv
+from .masks import load_missing_csv, mask_dataset, save_missing_csv
 from .policy import load_policy
 from .training import (
     JointConfig,
@@ -190,6 +190,12 @@ def require_matching_rate(cfg: JointConfig, ds, path) -> None:
                        f"the config's is {cfg.missing_rate:g}; pass --missing-rate")
 
 
+def require_pretrainable(cfg: JointConfig, ds, path) -> None:
+    """The self-masking loss needs a row observing two coordinates."""
+    if cfg.pretrain_epochs > 0 and not (ds.masks.sum(axis=1) >= 2).any():
+        raise CliError(f"cannot pretrain on {path}: no row observes two coordinates")
+
+
 def require_run_files(run_dir) -> dict:
     paths = {
         "config": os.path.join(run_dir, "config.txt"),
@@ -251,7 +257,7 @@ def _print_report(report: EvalReport) -> None:
 def cmd_gen_data(args) -> int:
     train, test = complete_data(args.dataset, args.n_train, args.n_test, args.seed,
                                 args.mnist_dir)
-    n_observed = mcar_spec(train.shape[1], args.missing_rate)
+    n_observed = horizon_for(train.shape[1], args.missing_rate)
     train_ds = mask_dataset(train, n_observed, rngs.substream(args.seed, rngs.DATA_MASK, 0))
     test_ds = mask_dataset(test, n_observed, rngs.substream(args.seed, rngs.DATA_MASK, 1))
 
@@ -269,6 +275,7 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = build_config(args)
     ds = load_dataset_csv(args.data).without_ground_truth()
+    require_pretrainable(cfg, ds, args.data)
     model, curve = pretrain_imputer(cfg, ds)
     os.makedirs(args.out, exist_ok=True)
     write_config(cfg, os.path.join(args.out, "config.txt"))
@@ -297,6 +304,8 @@ def cmd_train_joint(args) -> int:
         imputer = load_imputer(args.imputer)
         require_same_width(("imputer", args.imputer, imputer.d),
                            ("data", args.data, ds.dim))
+    else:
+        require_pretrainable(cfg, ds, args.data)
     require_matching_rate(cfg, ds, args.data)
     policy, imputer, record = joint_train(cfg, ds, imputer=imputer, out_dir=args.out,
                                           trace_episodes=args.trace_episodes)
@@ -488,6 +497,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    helper.pin_blas()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

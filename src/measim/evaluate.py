@@ -121,7 +121,7 @@ def eval_policy(
     order, and its EvalRow.wall_time is the sum of its task times.
 
     With two tasks or more, a helper (helper.start) runs the odd tasks and
-    this process the even ones.  Where the BLAS leaves a CPU core free the
+    this process the even ones.  Where helper.core_for_helper() holds the
     helper is a forked process that runs them beside this one, and only
     per-row errors and task times cross the pipe; otherwise it runs them
     here, before the even ones.  Each task's bits depend only on its key and

@@ -7,34 +7,61 @@ where core_for_helper() holds, else a stand-in that answers each request in
 this process.  Callers write one code path for both.  Forking gives the
 helper this process's memory, so models and data need not cross the pipe,
 and its loaded NumPy and BLAS, so it computes under the same numeric
-environment and its bits are the same as computing here.
+environment and its bits are the same as computing here.  The command line
+pins the BLAS to one thread (pin_blas); importing measim does not.
 """
 
 from __future__ import annotations
 
 import collections
+import ctypes
 import multiprocessing
 import os
 import signal
 import traceback
 
+from numpy.linalg import _umath_linalg
+
+
+def _openblas(verb: str, argtypes: list, restype):
+    """NumPy's OpenBLAS function <verb>_num_threads, declared; None for
+    another BLAS."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                 "openblas_%s_num_threads"):
+        fn = getattr(lib, name % verb, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, restype
+            return fn
+    return None
+
+
+def blas_threads() -> int | None:
+    """The thread count NumPy's BLAS computes with; None if it is no OpenBLAS."""
+    get = _openblas("get", [], ctypes.c_int)
+    return None if get is None else get()
+
+
+def pin_blas() -> None:
+    """Set NumPy's OpenBLAS to one thread.  Entry points call it first;
+    importing measim leaves a host program's setting alone."""
+    set_threads = _openblas("set", [ctypes.c_int], None)
+    if set_threads is not None:
+        set_threads(1)
+
 
 def core_for_helper() -> bool:
-    """Whether a CPU core is left free for a helper process.
+    """Whether a CPU core is left free for a forked helper process.
 
-    It is when the environment pins the BLAS to one thread and this process
-    may run on two CPUs or more.  OpenBLAS reads OPENBLAS_NUM_THREADS and MKL
-    reads MKL_NUM_THREADS, each else OMP_NUM_THREADS; unset, they start one
-    thread per CPU.  Those threads already fill every core, and a second
-    process computing beside them slows both several times over (their
-    workers spin while they wait).
+    It is when the BLAS computes with one thread (an unknown BLAS may not),
+    this process may run on two CPUs or more, and the platform can fork.  A
+    BLAS with more threads fills every core, and a process computing beside
+    it slows both several times over (its workers spin while they wait).
     """
-    omp = os.environ.get("OMP_NUM_THREADS")
-    pinned = all(os.environ.get(var, omp) == "1"
-                 for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return pinned and cpus >= 2
+    return (blas_threads() == 1 and cpus >= 2
+            and "fork" in multiprocessing.get_all_start_methods())
 
 
 def _serve(conn, main_end, handle) -> None:

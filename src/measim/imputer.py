@@ -313,11 +313,14 @@ def pretrain(
     """Minibatch descent on the self-masking loss until budget or plateau.
 
     Mutates the model in place and returns the per-epoch mean loss curve.
-    Aborts with a diagnostic if the loss goes non-finite.
+    Aborts with a diagnostic if the loss goes non-finite, and before the
+    first step if no row observes two coordinates (the loss skips such rows).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] == 0:
         raise ValueError("pretraining needs a nonempty dataset")
+    if epochs > 0 and not (np.asarray(masks).sum(axis=1) >= 2).any():
+        raise ValueError("pretraining needs a row observing two coordinates or more")
     n = values.shape[0]
     curve: list[float] = []
     for epoch in range(epochs):

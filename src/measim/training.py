@@ -62,7 +62,6 @@ ABLATIONS = ("full", "no_meta", "no_adaptation")
 
 RUN_CSV_SCHEMA = "# measim-run v1"
 RUN_CSV_HEADER = "iteration,reward_e1,reward_e2,critic_loss,imputer_unsup,imputer_sup"
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -301,8 +300,8 @@ def load_run_csv(path) -> tuple[list[IterationStats], dict]:
 def environment_manifest() -> dict:
     """The numeric environment a run's bytes depend on.
 
-    The same seed gives the same run.csv only under the same NumPy, BLAS and
-    BLAS thread count; this records them.  The BLAS entry needs
+    The same seed gives the same run.csv only under the same NumPy and BLAS;
+    this records them and the BLAS thread count.  The BLAS entry needs
     np.show_config(mode="dicts") (NumPy >= 1.25) and is null without it.
     """
     blas = None
@@ -315,7 +314,7 @@ def environment_manifest() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
-        "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+        "blas_threads": helper.blas_threads(),
     }
 
 
@@ -437,16 +436,16 @@ def joint_train(
 
     With an E2 set (ablation "full" and at least one iteration), the E2
     chain, the rollout and its actor-gradient term under the pre-update actor
-    and critic, goes to a helper (helper.start).  Where the BLAS leaves a CPU
-    core free (it is pinned to one thread and two CPUs are usable) the helper
-    is a forked process that runs the chain while this process rolls and
-    rewards E1, forms phi_new, rewards E2 and fits the critic.  Otherwise it
-    runs the chain here, each request as it is sent: E2 rolls before E1, and
-    its term is formed before the critic fit.  Every draw is keyed by its
-    substream and the forked process computes under the same numeric
-    environment, so every output bit is the same either way.  The helper is
-    started before the first iteration and stopped on every exit, error and
-    interrupt included.
+    and critic, goes to a helper (helper.start).  Where a CPU core is free
+    (helper.core_for_helper: the BLAS computes with one thread, two CPUs are
+    usable and the platform can fork) the helper is a forked process that
+    runs the chain while this process rolls and rewards E1, forms phi_new,
+    rewards E2 and fits the critic.  Otherwise it runs the chain here, each
+    request as it is sent: E2 rolls before E1, and its term is formed before
+    the critic fit.  Every draw is keyed by its substream and the forked
+    process computes under the same numeric environment, so every output bit
+    is the same either way.  The helper is started before the first
+    iteration and stopped on every exit, error and interrupt included.
     """
     n = len(dataset)
     if n == 0:

@@ -167,6 +167,41 @@ def test_pretrain_zero_epochs_writes_untrained_checkpoint(tmp_path, data_dir, ca
     assert "pretrained 0 epochs" in printed and "final loss" not in printed
 
 
+def test_pretrain_refuses_data_with_no_row_observing_two_coordinates(tmp_path, capsys):
+    # at 99% missing a row of 100 coordinates observes one
+    data = tmp_path / "data"
+    assert main(["gen-data", "--dataset", "sin-single", "--missing-rate", "0.99",
+                 "--out", str(data), "--n-train", "16", "--n-test", "2"]) == 0
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(missing_rate=0.99), cfg_path)
+    capsys.readouterr()
+    # train-joint pretrains when given no imputer
+    for command in ("pretrain", "train-joint"):
+        out = tmp_path / command
+        code = main([command, "--data", str(data / "train.csv"), "--config", str(cfg_path),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(data / "train.csv") in err and "two coordinates" in err
+        assert not out.exists()
+
+
+def test_gen_data_observes_what_train_joint_measures_at_any_rate(tmp_path, data_dir):
+    # 0.996 of 100 coordinates leaves 0.4 observed; an episode measures one
+    data = tmp_path / "sparse"
+    assert main(["gen-data", "--dataset", "sin-single", "--missing-rate", "0.996",
+                 "--out", str(data), "--n-train", "16", "--n-test", "2"]) == 0
+    assert np.all(load_missing_csv(data / "train.csv").masks.sum(axis=1) == 1)
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(), cfg_path)
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--data", str(data_dir / "train.csv"), "--config",
+                 str(cfg_path), "--out", str(pre)]) == 0
+    assert main(["train-joint", "--data", str(data / "train.csv"), "--config",
+                 str(cfg_path), "--imputer", str(pre / "imputer.ckpt"),
+                 "--missing-rate", "0.996", "--out", str(tmp_path / "run")]) == 0
+
+
 def test_train_joint_run_directory(run_dir):
     for name in ("config.txt", "run.csv", "actor.ckpt", "critic.ckpt", "imputer.ckpt"):
         assert (run_dir / name).exists(), name

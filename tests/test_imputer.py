@@ -613,6 +613,21 @@ def test_pretrain_rejects_empty_dataset():
                  nn.OptimizerState(), ImputerLossConfig(), np.random.default_rng(0))
 
 
+def test_pretrain_refuses_data_with_no_row_observing_two_coordinates():
+    # the self-masking loss skips every such row, so each step would be a no-op
+    model = build_imputer(4, "image", hidden=(4,), rng=np.random.default_rng(34))
+    before = [p.copy() for p in model.net.params()]
+    masks = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+    with pytest.raises(ValueError, match="two coordinates"):
+        pretrain(model, masks, masks, 1, nn.OptimizerState(), ImputerLossConfig(),
+                 np.random.default_rng(35))
+    assert all(np.array_equal(a, b) for a, b in zip(before, model.net.params()))
+    # one such row is enough
+    masks[0, 1] = 1.0
+    assert len(pretrain(model, masks, masks, 1, nn.OptimizerState(), ImputerLossConfig(),
+                        np.random.default_rng(35))) == 1
+
+
 # ---------------------------------------------------------------- adaptation
 
 

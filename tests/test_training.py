@@ -571,24 +571,18 @@ def test_e2_in_process_matches_serial_reference(monkeypatch, variant):
     check_against_serial_reference(variant)
 
 
-@pytest.mark.parametrize("env, cpus, expected", [
-    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, True),
-    ({"OMP_NUM_THREADS": "1"}, 4, True),
-    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
-    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 1, False),
-    ({}, 2, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, False),
-    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, 2, False),
-])
-def test_helper_only_where_the_blas_leaves_a_core(monkeypatch, env, cpus, expected):
-    # unpinned, the BLAS starts a thread per CPU and a helper computing beside
-    # it would slow the loop several times over
-    for var in training.THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+@pytest.mark.parametrize("threads", [1, 2, None], ids=lambda t: f"threads{t}")
+@pytest.mark.parametrize("cpus", [1, 2], ids=lambda c: f"cpus{c}")
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "nofork"])
+def test_helper_only_where_the_blas_leaves_a_core(monkeypatch, threads, cpus, fork):
+    # a BLAS with more threads, or one whose count cannot be read, may fill
+    # every core, and a helper computing beside it would slow the loop
+    # several times over; without fork there is no helper process to start
+    monkeypatch.setattr(helper, "blas_threads", lambda: threads)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert helper.core_for_helper() is expected
+    methods = ["spawn", "forkserver", "fork"] if fork else ["spawn"]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    assert helper.core_for_helper() is (threads == 1 and cpus == 2 and fork)
 
 
 def test_helper_error_reaches_caller_and_leaves_no_process(monkeypatch):
@@ -697,17 +691,14 @@ def test_run_manifest_records_numeric_environment(tmp_path, monkeypatch):
     ds = tiny_dataset()
     cfg = tiny_config(iterations=2)
     pre = pretrained_imputer(cfg, ds)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setattr(helper, "blas_threads", lambda: 3)
     joint_train(cfg, ds, imputer=pre, out_dir=tmp_path / "a")
     with open(tmp_path / "a" / "environment.json") as f:
         env = json.load(f)
     assert env == environment_manifest()
+    assert set(env) == {"python", "numpy", "blas", "blas_threads"}
     assert env["numpy"] == np.__version__
-    assert env["threads"]["OMP_NUM_THREADS"] == "3"
-    assert env["threads"]["MKL_NUM_THREADS"] is None
-    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                   "MKL_NUM_THREADS"}
+    assert env["blas_threads"] == 3
     if env["blas"] is not None:
         assert set(env["blas"]) == {"name", "version"}
 
