@@ -571,10 +571,36 @@ def test_e2_in_process_matches_serial_reference(monkeypatch, variant):
     check_against_serial_reference(variant)
 
 
+# each env: the thread count the BLAS itself reports, and thread variables
+# that read otherwise where they can; the variables decide nothing
+@pytest.mark.parametrize("env, cpus, expected", [
+    ({"blas": 1, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, True),
+    ({"blas": 1, "OMP_NUM_THREADS": "1"}, 4, True),
+    ({"blas": 1, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, 2, True),
+    ({"blas": 1, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 1, False),
+    ({"blas": 2}, 2, False),
+    ({"blas": None, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, False),
+    ({"blas": 2, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 2, False),
+])
+def test_helper_only_where_the_blas_leaves_a_core(monkeypatch, env, cpus, expected):
+    # unpinned, the BLAS starts a thread per CPU and a helper computing beside
+    # it would slow the loop several times over
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        if var != "blas":
+            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(helper, "blas_threads", lambda: env["blas"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver", "fork"])
+    assert helper.core_for_helper() is expected
+
+
 @pytest.mark.parametrize("threads", [1, 2, None], ids=lambda t: f"threads{t}")
 @pytest.mark.parametrize("cpus", [1, 2], ids=lambda c: f"cpus{c}")
 @pytest.mark.parametrize("fork", [True, False], ids=["fork", "nofork"])
-def test_helper_only_where_the_blas_leaves_a_core(monkeypatch, threads, cpus, fork):
+def test_helper_needs_a_one_thread_blas_two_cpus_and_fork(monkeypatch, threads, cpus, fork):
     # a BLAS with more threads, or one whose count cannot be read, may fill
     # every core, and a helper computing beside it would slow the loop
     # several times over; without fork there is no helper process to start
