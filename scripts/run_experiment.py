@@ -30,6 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from measim import cli, helper, rngs
 from measim.episodes import ExplicitSelector, UniformSelector, horizon_for
 from measim.evaluate import EvalReport, sweep_missing_rates, write_sweep_csv
+from measim.imputer import any_row_observes_two
 from measim.masks import mask_dataset
 from measim.training import ABLATIONS, joint_train, pretrain_imputer
 
@@ -60,6 +61,12 @@ def parse_args(argv=None):
     return args
 
 
+def masked_train(train, cfg):
+    """The train split as the joint loop at cfg.missing_rate sees it."""
+    return mask_dataset(train, horizon_for(train.shape[1], cfg.missing_rate),
+                        rngs.substream(cfg.seed, rngs.DATA_MASK, 0))
+
+
 def run(args) -> int:
     train, test = cli.complete_data(args.dataset, args.n_train, args.n_test,
                                     args.seed, args.mnist_dir)
@@ -68,11 +75,19 @@ def run(args) -> int:
     out = args.out or os.path.join("runs", args.dataset)
     ablations = ABLATIONS if args.ablations else ABLATIONS[:1]
 
+    configs = [dataclasses.replace(preset, missing_rate=rate)
+               for rate in args.rates or [preset.missing_rate]]
+    # every rate is checked before any rate's work starts
+    for cfg in configs:
+        if ((cfg.pretrain_epochs > 0 or cfg.adapts_imputer())
+                and not any_row_observes_two(masked_train(train, cfg).masks)):
+            raise cli.CliError(f"cannot train at rate {cfg.missing_rate:g}: no row of the "
+                               "masked train split observes two coordinates")
+
     report = EvalReport()
-    for rate in args.rates or [preset.missing_rate]:
-        cfg = dataclasses.replace(preset, missing_rate=rate)
-        ds = mask_dataset(train, horizon_for(train.shape[1], rate),
-                          rngs.substream(cfg.seed, rngs.DATA_MASK, 0))
+    for cfg in configs:
+        rate = cfg.missing_rate
+        ds = masked_train(train, cfg)
         pre, curve = pretrain_imputer(cfg, ds)
         print(f"== {args.dataset} @ {rate:g}: pretrained {len(curve)} epochs, "
               f"loss {curve[-1]:.5f}")

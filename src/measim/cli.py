@@ -17,7 +17,7 @@ from . import helper, nn, rngs
 from .data import MNIST_STEMS, find_mnist_file, gen_sinusoid_dataset, mnist12_dataset
 from .episodes import ExplicitSelector, UniformSelector, horizon_for
 from .evaluate import EvalReport, eval_policy, sweep_missing_rates, write_sweep_csv
-from .imputer import load_imputer, save_imputer
+from .imputer import any_row_observes_two, load_imputer, save_imputer
 from .masks import load_missing_csv, mask_dataset, save_missing_csv
 from .policy import load_policy
 from .training import (
@@ -192,8 +192,14 @@ def require_matching_rate(cfg: JointConfig, ds, path) -> None:
 
 def require_pretrainable(cfg: JointConfig, ds, path) -> None:
     """The self-masking loss needs a row observing two coordinates."""
-    if cfg.pretrain_epochs > 0 and not (ds.masks.sum(axis=1) >= 2).any():
+    if cfg.pretrain_epochs > 0 and not any_row_observes_two(ds.masks):
         raise CliError(f"cannot pretrain on {path}: no row observes two coordinates")
+
+
+def require_adaptable(cfg: JointConfig, ds, path) -> None:
+    """So does the joint loop's imputer step, and the fine-tune after it."""
+    if cfg.adapts_imputer() and not any_row_observes_two(ds.masks):
+        raise CliError(f"cannot adapt the imputer on {path}: no row observes two coordinates")
 
 
 def require_run_files(run_dir) -> dict:
@@ -307,6 +313,7 @@ def cmd_train_joint(args) -> int:
     else:
         require_pretrainable(cfg, ds, args.data)
     require_matching_rate(cfg, ds, args.data)
+    require_adaptable(cfg, ds, args.data)
     policy, imputer, record = joint_train(cfg, ds, imputer=imputer, out_dir=args.out,
                                           trace_episodes=args.trace_episodes)
     if record.stats:

@@ -96,6 +96,30 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(j * n // m, (j + 1) * n // m) for j in range(m)]
 
 
+def _run_task(subject, imputer: ImputerModel, truth: np.ndarray, blocks: list[slice],
+              horizon: int, k: int, seed: int, eval_mode: str,
+              s: int, j: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Task (s, j): roll block j from substream (seed, EVAL, s, 0, j), impute
+    its terminal states k times from (seed, EVAL, s, 1, j), and return the
+    per-row top-1 and top-k errors and the task's time.  The rollout and
+    draws are released on return, before the next task's."""
+    start = time.perf_counter()
+    rows = truth[blocks[j]]
+    rng_ep = rngs.substream(seed, rngs.EVAL, s, 0, j)
+    rng_imp = rngs.substream(seed, rngs.EVAL, s, 1, j)
+    if isinstance(subject, PolicyModel):
+        roll = rollout_batch(subject, rows, horizon, eval_mode, rng_ep, grad=False)
+    else:
+        roll = rollout_with_selector(subject, rows, horizon, rng_ep)
+    cands = impute_batch(imputer, roll.terminal_values, roll.terminal_masks, rng_imp, k=k)
+    return topk_rmse(cands[:1], rows), topk_rmse(cands, rows), time.perf_counter() - start
+
+
+def _run_tasks(work: tuple, tasks: list[tuple[int, int]]) -> list:
+    """_run_task(*work, s, j) for each task (s, j), in order."""
+    return [_run_task(*work, s, j) for s, j in tasks]
+
+
 def eval_policy(
     subject,
     imputer: ImputerModel,
@@ -114,20 +138,20 @@ def eval_policy(
     selector callable (values, masks, rng) -> actions.
 
     The work is a list of (seed s, row block j) tasks in that order, the
-    blocks from row_blocks.  Task (s, j) rolls block j from substream
-    (seed, EVAL, s, 0, j) and imputes its terminal states k times from
-    (seed, EVAL, s, 1, j), so each task's bits depend on nothing but its
-    key.  A seed's errors are means over its rows, the blocks taken in row
-    order, and its EvalRow.wall_time is the sum of its task times.
+    blocks from row_blocks, each run by _run_task from its own substreams,
+    so each task's bits depend on nothing but its key.  A seed's errors are
+    means over its rows, the blocks taken in row order, and its
+    EvalRow.wall_time is the sum of its task times.
 
-    With two tasks or more, a helper (helper.start) runs the odd tasks and
-    this process the even ones.  Where helper.core_for_helper() holds the
-    helper is a forked process that runs them beside this one, and only
-    per-row errors and task times cross the pipe; otherwise it runs them
-    here, before the even ones.  Each task's bits depend only on its key and
-    the forked process computes under the same numeric environment, so the
-    report is bit-identical either way.  Either way a process holds one
-    block's rollout and draws at a time.
+    With two tasks or more, the process's helper (helper.use) runs the odd
+    tasks and this process the even ones.  The request carries the subject,
+    the imputer and the truth rows, so a subject of a forked helper must
+    pickle.  Where helper.core_for_helper() held when the helper started it
+    is a forked process that runs them beside this one, and per-row errors
+    and task times come back over the pipe; otherwise it runs them here,
+    before the even ones.  The forked process computes under the same
+    numeric environment, so the report is bit-identical either way.  Either
+    way a process holds one block's rollout and draws at a time.
     """
     if eval_mode not in EVAL_MODES:
         raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {eval_mode!r}")
@@ -139,38 +163,19 @@ def eval_policy(
     n, d = truth.shape
     if n == 0:
         raise ValueError("evaluation needs at least one row")
-    horizon = horizon_for(d, missing_rate)
     if method is None:
         method = method_name(subject)
     blocks = row_blocks(n)
-
-    def run_task(s: int, j: int) -> tuple[np.ndarray, np.ndarray, float]:
-        # the rollout and draws are released on return, before the next task's
-        start = time.perf_counter()
-        rows = truth[blocks[j]]
-        rng_ep = rngs.substream(seed, rngs.EVAL, s, 0, j)
-        rng_imp = rngs.substream(seed, rngs.EVAL, s, 1, j)
-        if isinstance(subject, PolicyModel):
-            roll = rollout_batch(subject, rows, horizon, eval_mode, rng_ep,
-                                 grad=False)
-        else:
-            roll = rollout_with_selector(subject, rows, horizon, rng_ep)
-        cands = impute_batch(imputer, roll.terminal_values, roll.terminal_masks,
-                             rng_imp, k=k)
-        return (topk_rmse(cands[:1], rows), topk_rmse(cands, rows),
-                time.perf_counter() - start)
-
-    def run_tasks(tasks) -> list:
-        return [run_task(s, j) for s, j in tasks]
+    work = (subject, imputer, truth, blocks, horizon_for(d, missing_rate), k, seed, eval_mode)
 
     tasks = [(s, j) for s in range(n_seeds) for j in range(len(blocks))]
     if len(tasks) < 2:
-        results = run_tasks(tasks)
+        results = _run_tasks(work, tasks)
     else:
         results = [None] * len(tasks)
-        with helper.start("measim-eval", run_tasks) as side:
-            side.send(tasks[1::2])
-            results[::2] = run_tasks(tasks[::2])
+        with helper.use() as side:
+            side.send(_run_tasks, work, tasks[1::2])
+            results[::2] = _run_tasks(work, tasks[::2])
             results[1::2] = side.recv()
 
     rows = []

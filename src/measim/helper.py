@@ -1,19 +1,30 @@
-"""A helper beside the main process, for work that can overlap.
+"""One helper per process, beside the main one, for work that can overlap.
 
-The joint loop sends its E2 chain to one (training.joint_train) and
-evaluation half of its (seed, row block) tasks (evaluate.eval_policy).
-start() is the one place that decides how the helper runs: a forked process
-where core_for_helper() holds, else a stand-in that answers each request in
-this process.  Callers write one code path for both.  Forking gives the
-helper this process's memory, so models and data need not cross the pipe,
-and its loaded NumPy and BLAS, so it computes under the same numeric
-environment and its bits are the same as computing here.  The command line
-pins the BLAS to one thread (pin_blas); importing measim does not.
+The joint loop sends its E2 chain to it (training.joint_train) and
+evaluation half of its (seed, row block) tasks (evaluate.eval_policy).  The
+helper is started on first use (use()) and every later use in the process
+reuses it.  That first use makes the one choice of how it runs: a forked
+process where core_for_helper() holds, else a stand-in that answers each
+request in this process.  Callers write one code path for both.  Forking
+gives the helper this process's loaded NumPy and BLAS, so it computes under
+the same numeric environment and its bits are the same as computing here.
+It sees this process only as it was at the fork, so a request names a
+module-level function and carries that function's arguments, models and
+data included, over the pipe.
+
+The forked helper is a daemon, stopped by stop(): at interpreter exit (an
+atexit hook), whenever an error or interrupt escapes a use() block while a
+request awaits its reply, and by a caller that wants a fresh one.  It exits
+by itself when the pipe closes because this process is gone.  The next use
+after a stop starts a new helper.  The command line pins the BLAS to one
+thread (pin_blas); importing measim does not.
 """
 
 from __future__ import annotations
 
+import atexit
 import collections
+import contextlib
 import ctypes
 import multiprocessing
 import os
@@ -21,6 +32,8 @@ import signal
 import traceback
 
 from numpy.linalg import _umath_linalg
+
+NAME = "measim-helper"
 
 
 def _openblas(verb: str, argtypes: list, restype):
@@ -64,11 +77,12 @@ def core_for_helper() -> bool:
             and "fork" in multiprocessing.get_all_start_methods())
 
 
-def _serve(conn, main_end, handle) -> None:
-    """Helper process body: answer each request with handle(request).
+def _serve(conn, main_end) -> None:
+    """Helper process body: answer each request (fn, args) with fn(*args).
 
-    An exception is sent back to be raised in the main process; a closed pipe
-    means the main process is gone.  The main process stops it with SIGTERM.
+    An exception is sent back to be raised in the main process, and ends the
+    helper; a closed pipe means the main process is gone.  The main process
+    stops it with SIGTERM.
     """
     main_end.close()
     # an interrupt is the main process's to handle; it then stops this one
@@ -77,7 +91,8 @@ def _serve(conn, main_end, handle) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         while True:
-            conn.send(("ok", handle(conn.recv())))
+            fn, args = conn.recv()
+            conn.send(("ok", fn(*args)))
     except EOFError:
         pass
     except Exception as exc:
@@ -85,27 +100,30 @@ def _serve(conn, main_end, handle) -> None:
 
 
 class Helper:
-    """A forked process that answers each request with handle(request).
+    """A forked process that answers each request send(fn, *args) with
+    fn(*args), fn a module-level function.
 
     send() returns at once, so this process computes while the helper does;
     recv() waits for the reply to the oldest unanswered request.  An
     exception raised in the helper is raised again by recv(), with the
     helper's traceback as a note; a helper that died is reported with its
-    exit code.  close() stops it, on every exit path when used in a with
-    block.
+    exit code.  pending counts the requests sent and not yet answered (a
+    failed send and an error reply stay counted).  close() stops it.
     """
 
-    def __init__(self, name: str, handle):
+    def __init__(self, name: str):
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         self._proc = ctx.Process(target=_serve, name=name, daemon=True,
-                                 args=(child_end, self._conn, handle))
+                                 args=(child_end, self._conn))
         self._proc.start()
         child_end.close()
+        self.pending = 0
 
-    def send(self, request) -> None:
+    def send(self, fn, *args) -> None:
+        self.pending += 1
         try:
-            self._conn.send(request)
+            self._conn.send((fn, args))
         except OSError:
             raise self._exit_error() from None
 
@@ -119,18 +137,13 @@ class Helper:
             if hasattr(exc, "add_note"):
                 exc.add_note(f"raised in helper process {self._proc.name}:\n{trace}")
             raise exc
+        self.pending -= 1
         return payload
 
     def close(self) -> None:
         self._proc.terminate()
         self._proc.join()
         self._conn.close()
-
-    def __enter__(self) -> "Helper":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _exit_error(self) -> RuntimeError:
         self._proc.join(5.0)
@@ -139,16 +152,19 @@ class Helper:
 
 
 class _InProcess:
-    """The stand-in for a Helper where no core is free: send() computes the
-    reply at once, here, and recv() returns the oldest one.  A handler's
-    exception is raised by send()."""
+    """The stand-in for a Helper where no core is free: send(fn, *args)
+    computes the reply fn(*args) at once, here, and recv() returns the oldest
+    one.  fn's exception is raised by send()."""
 
-    def __init__(self, handle):
-        self._handle = handle
+    def __init__(self):
         self._replies = collections.deque()
 
-    def send(self, request) -> None:
-        self._replies.append(self._handle(request))
+    @property
+    def pending(self) -> int:
+        return len(self._replies)
+
+    def send(self, fn, *args) -> None:
+        self._replies.append(fn(*args))
 
     def recv(self):
         return self._replies.popleft()
@@ -156,21 +172,39 @@ class _InProcess:
     def close(self) -> None:
         self._replies.clear()
 
-    def __enter__(self) -> "_InProcess":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+_running: Helper | _InProcess | None = None
 
 
-def start(name: str, handle):
-    """A helper answering each request with handle(request): a forked Helper
-    where core_for_helper() holds, else one that computes in this process.
+@contextlib.contextmanager
+def use():
+    """This process's helper, started on first use: a forked Helper where
+    core_for_helper() holds, else one that computes in this process.
 
     Both answer in the order the requests were sent.  The forked one computes
     while this process does; the other computes each reply inside send(), so
-    a reply reads the state of this process when it was asked for.
+    a reply reads the state of this process when it was asked for.  An error
+    or interrupt that leaves the block while a request awaits its reply stops
+    the helper (stop()), and the next use starts a fresh one.
     """
-    if core_for_helper():
-        return Helper(name, handle)
-    return _InProcess(handle)
+    global _running
+    if _running is None:
+        _running = Helper(NAME) if core_for_helper() else _InProcess()
+    side = _running
+    try:
+        yield side
+    except BaseException:
+        if side.pending:
+            stop()
+        raise
+
+
+def stop() -> None:
+    """Stop this process's helper, if one runs; the next use starts another."""
+    global _running
+    side, _running = _running, None
+    if side is not None:
+        side.close()
+
+
+atexit.register(stop)

@@ -232,6 +232,12 @@ def _reconstruction(model: ImputerModel, values, masks, target, weight,
     return float(rows.mean()), upstream, y, tape
 
 
+def any_row_observes_two(masks: np.ndarray) -> bool:
+    """Whether some row observes two coordinates or more: loss_unsupervised
+    skips every other row, so without one it has no signal."""
+    return bool((np.asarray(masks).sum(axis=1) >= 2).any())
+
+
 def loss_unsupervised(
     model: ImputerModel,
     values: np.ndarray,
@@ -319,7 +325,7 @@ def pretrain(
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] == 0:
         raise ValueError("pretraining needs a nonempty dataset")
-    if epochs > 0 and not (np.asarray(masks).sum(axis=1) >= 2).any():
+    if epochs > 0 and not any_row_observes_two(masks):
         raise ValueError("pretraining needs a row observing two coordinates or more")
     n = values.shape[0]
     curve: list[float] = []

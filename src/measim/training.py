@@ -18,6 +18,7 @@ fine-tunes the imputer to the trained policy via finetune_after.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -42,6 +43,7 @@ from .imputer import (
     ImputerLossConfig,
     ImputerModel,
     adapt_step,
+    any_row_observes_two,
     build_imputer,
     impute_batch,
     pretrain,
@@ -149,6 +151,13 @@ class JointConfig:
         if self.pretrain_batch < 1:
             raise ValueError("pretrain_batch must be >= 1")
         self.loss_config()   # checks the imputer loss settings
+
+    def adapts_imputer(self) -> bool:
+        """Whether joint_train steps the imputer: in the loop ("full",
+        "no_meta") or in the fine-tune after it ("no_adaptation")."""
+        if self.ablation == "no_adaptation":
+            return self.finetune_iterations > 0
+        return self.iterations > 0
 
     def loss_config(self) -> ImputerLossConfig:
         return ImputerLossConfig(
@@ -363,17 +372,16 @@ def _adapt_round(policy: PolicyModel, imputer: ImputerModel, mv, mm, xbar,
     return imputer, unsup, sup
 
 
-class _E2Handler:
-    """The joint loop's E2 chain, answering one request at a time.
+class _E2Chain:
+    """The joint loop's E2 chain, in the slot of the process that runs it.
 
-    ("roll", actor params, critic params, xbar, i) loads the parameters into
+    roll(actor params, critic params, xbar, i) loads the parameters into
     self.policy with DenseNet.assign, rolls iteration i's E2 set and returns
-    its terminal state; ("reward", r2) returns the set's actor-gradient term,
+    its terminal state; reward(r2) returns the set's actor-gradient term,
     with advantages from advantages_for.  The term reads the critic before
-    its update, so the loop sends the rewards before critic_update.  In a
-    forked helper self.policy is the helper's copy of the policy; in the
-    training process it is the policy being trained, and the load copies its
-    parameters onto themselves.
+    its update, so the loop sends the rewards before critic_update.
+    self.policy is a copy of the policy being trained, in a forked helper
+    and in this process alike.
     """
 
     def __init__(self, policy: PolicyModel, horizon: int, seed: int, normalize: bool):
@@ -381,21 +389,40 @@ class _E2Handler:
         self._horizon, self._seed, self._normalize = horizon, seed, normalize
         self._roll: Rollout | None = None
 
-    def __call__(self, request):
-        kind, *args = request
-        policy = self.policy
-        if kind == "reward":
-            (rewards,) = args
-            # spent once its term is formed: released before the next rollout
-            roll, self._roll = self._roll, None
-            adv = advantages_for(policy, roll.steps, rewards, self._normalize)
-            return actor_gradient(policy, roll.steps, adv)
-        actor_params, critic_params, xbar, i = args
-        policy.actor.assign(actor_params)
-        policy.critic.assign(critic_params)
-        self._roll = rollout_batch(policy, xbar, self._horizon, "stochastic",
+    def roll(self, actor_params, critic_params, xbar, i: int):
+        self.policy.actor.assign(actor_params)
+        self.policy.critic.assign(critic_params)
+        self._roll = rollout_batch(self.policy, xbar, self._horizon, "stochastic",
                                    rngs.substream(self._seed, rngs.EPISODE_2, i))
         return self._roll.terminal_values, self._roll.terminal_masks
+
+    def reward(self, rewards):
+        # spent once its term is formed: released before the next rollout
+        roll, self._roll = self._roll, None
+        adv = advantages_for(self.policy, roll.steps, rewards, self._normalize)
+        return actor_gradient(self.policy, roll.steps, adv)
+
+
+# the E2 chain of the process's helper, between _e2_open and _e2_close
+_e2: _E2Chain | None = None
+
+
+def _e2_open(policy: PolicyModel, horizon: int, seed: int, normalize: bool) -> None:
+    global _e2
+    _e2 = _E2Chain(policy, horizon, seed, normalize)
+
+
+def _e2_roll(actor_params, critic_params, xbar, i: int):
+    return _e2.roll(actor_params, critic_params, xbar, i)
+
+
+def _e2_reward(rewards):
+    return _e2.reward(rewards)
+
+
+def _e2_close() -> None:
+    global _e2
+    _e2 = None
 
 
 def pretrain_imputer(cfg: JointConfig, dataset: MissingDataset) -> tuple[ImputerModel, list[float]]:
@@ -436,16 +463,22 @@ def joint_train(
 
     With an E2 set (ablation "full" and at least one iteration), the E2
     chain, the rollout and its actor-gradient term under the pre-update actor
-    and critic, goes to a helper (helper.start).  Where a CPU core is free
-    (helper.core_for_helper: the BLAS computes with one thread, two CPUs are
-    usable and the platform can fork) the helper is a forked process that
-    runs the chain while this process rolls and rewards E1, forms phi_new,
-    rewards E2 and fits the critic.  Otherwise it runs the chain here, each
-    request as it is sent: E2 rolls before E1, and its term is formed before
-    the critic fit.  Every draw is keyed by its substream and the forked
-    process computes under the same numeric environment, so every output bit
-    is the same either way.  The helper is started before the first
-    iteration and stopped on every exit, error and interrupt included.
+    and critic, goes to the process's helper (helper.use).  The chain opens
+    with one request carrying a copy of the policy, and each iteration's
+    requests carry the parameters, x-bar and rewards.  Where a CPU core was
+    free when the helper started (helper.core_for_helper: the BLAS computes
+    with one thread, two CPUs are usable and the platform can fork) the
+    helper is a forked process that runs the chain while this process rolls
+    and rewards E1, forms phi_new, rewards E2 and fits the critic.
+    Otherwise it runs the chain here, each request as it is sent: E2 rolls
+    before E1, and its term is formed before the critic fit.  Every draw is
+    keyed by its substream and the forked process computes under the same
+    numeric environment, so every output bit is the same either way.
+
+    A run that adapts the imputer (JointConfig.adapts_imputer) on data where
+    no row observes two coordinates is refused with ValueError before
+    anything is written: the imputer step's self-masking loss would have no
+    signal.
     """
     n = len(dataset)
     if n == 0:
@@ -456,6 +489,8 @@ def joint_train(
 
     if imputer is not None and imputer.d != d:
         raise ValueError(f"imputer dimension {imputer.d} != dataset dimension {d}")
+    if cfg.adapts_imputer() and not any_row_observes_two(dataset.masks):
+        raise ValueError("adapting the imputer needs a row observing two coordinates or more")
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -478,13 +513,13 @@ def joint_train(
     last_rewards: np.ndarray | None = None
 
     # the E2 set (ablation "full" only) reads nothing E1 produces except its
-    # reward model, so its chain goes to a helper, which runs it beside E1
+    # reward model, so its chain goes to the helper, which runs it beside E1
     # where a core is free
-    e2 = None
-    if cfg.ablation == "full" and cfg.iterations > 0:
-        e2 = helper.start("measim-e2", _E2Handler(policy, horizon, seed,
-                                                  cfg.normalize_advantages))
-    try:
+    has_e2 = cfg.ablation == "full" and cfg.iterations > 0
+    with helper.use() if has_e2 else contextlib.nullcontext() as e2:
+        if e2 is not None:
+            e2.send(_e2_open, policy.copy(), horizon, seed, cfg.normalize_advantages)
+            e2.recv()
         for i in range(cfg.iterations):
             idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
             mv = dataset.values[idx]
@@ -493,7 +528,7 @@ def joint_train(
             # (1) one generated complete vector per missing example
             xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
             if e2 is not None:
-                e2.send(("roll", policy.actor.params(), policy.critic.params(), xbar, i))
+                e2.send(_e2_roll, policy.actor.params(), policy.critic.params(), xbar, i)
 
             # (2) exploration episodes, rewarded by the current imputer
             roll1 = rollout_batch(policy, xbar, horizon, "explore",
@@ -517,7 +552,7 @@ def joint_train(
                 r2 = terminal_rewards_batch(phi_new, roll2, cfg.k_reward,
                                             rngs.substream(seed, rngs.REWARD_2, i))
                 _require_finite(r2, "reward", i)
-                e2.send(("reward", r2))
+                e2.send(_e2_reward, r2)
 
             # (5) two-term actor step; advantages use the critic before its
             # update, for the E2 term too, and the fit returns E1's
@@ -559,9 +594,9 @@ def joint_train(
             if plateaued(record.rewards, cfg.early_stop_window, cfg.early_stop_tol):
                 record.stopped_early = True
                 break
-    finally:
         if e2 is not None:
-            e2.close()
+            e2.send(_e2_close)
+            e2.recv()
 
     if not adapt:
         imputer = finetune_after(policy, imputer, cfg, dataset)

@@ -1,15 +1,19 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from measim import cli
+from measim import cli, helper
 from measim.cli import main, preset_config
 from measim.data import gen_stroke_digits, write_idx_images
 from measim.evaluate import eval_policy, write_sweep_csv
 from measim.imputer import build_imputer, save_imputer
 from measim.masks import MissingDataset, load_missing_csv, save_missing_csv
 from measim.training import JointConfig, joint_train, load_config, write_config
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def tiny_cfg(**overrides) -> JointConfig:
@@ -192,14 +196,40 @@ def test_gen_data_observes_what_train_joint_measures_at_any_rate(tmp_path, data_
     assert main(["gen-data", "--dataset", "sin-single", "--missing-rate", "0.996",
                  "--out", str(data), "--n-train", "16", "--n-test", "2"]) == 0
     assert np.all(load_missing_csv(data / "train.csv").masks.sum(axis=1) == 1)
+    # a run that leaves the imputer as it is needs no row observing two
     cfg_path = tmp_path / "config.txt"
-    write_config(tiny_cfg(), cfg_path)
+    write_config(tiny_cfg(finetune_iterations=0), cfg_path)
     pre = tmp_path / "pre"
     assert main(["pretrain", "--data", str(data_dir / "train.csv"), "--config",
                  str(cfg_path), "--out", str(pre)]) == 0
     assert main(["train-joint", "--data", str(data / "train.csv"), "--config",
                  str(cfg_path), "--imputer", str(pre / "imputer.ckpt"),
-                 "--missing-rate", "0.996", "--out", str(tmp_path / "run")]) == 0
+                 "--missing-rate", "0.996", "--ablation", "no-adaptation",
+                 "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("ablation", ["full", "no-meta", "no-adaptation"])
+def test_train_joint_refuses_to_adapt_on_data_with_no_row_observing_two(
+        tmp_path, data_dir, capsys, ablation):
+    # the imputer step's self-masking loss would skip every row
+    data = tmp_path / "sparse"
+    assert main(["gen-data", "--dataset", "sin-single", "--missing-rate", "0.996",
+                 "--out", str(data), "--n-train", "16", "--n-test", "2"]) == 0
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(), cfg_path)
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--data", str(data_dir / "train.csv"), "--config",
+                 str(cfg_path), "--out", str(pre)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = main(["train-joint", "--data", str(data / "train.csv"), "--config",
+                 str(cfg_path), "--imputer", str(pre / "imputer.ckpt"),
+                 "--missing-rate", "0.996", "--ablation", ablation, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"cannot adapt the imputer on {data / 'train.csv'}" in err
+    assert "two coordinates" in err
+    assert not out.exists()
 
 
 def test_train_joint_run_directory(run_dir):
@@ -393,6 +423,44 @@ def test_sweep_covers_methods_and_rates(run_dir, data_dir):
     assert len(rows) == 3 * 2  # three methods, two rates, one seed
     zero_rate = [r for r in rows if float(r[2]) == 0.0]
     assert all(float(r[3]) == 0.0 for r in zero_rate)
+
+
+def test_sweep_at_defaults_starts_one_helper(run_dir, data_dir, monkeypatch):
+    # 5 rates x 3 methods evaluate on one helper, started on first use
+    monkeypatch.setattr(helper, "core_for_helper", lambda: True)
+    started = []
+    real = helper.Helper
+    monkeypatch.setattr(helper, "Helper", lambda name: started.append(name) or real(name))
+    helper.stop()   # the one run_dir's train-joint started
+    assert main(["sweep", "--run", str(run_dir), "--data", str(data_dir / "test.csv")]) == 0
+    assert len((run_dir / "sweep.csv").read_text().splitlines()) == 2 + 5 * 3 * 3
+    assert started == [helper.NAME]
+
+
+def running_with(text: str) -> list[int]:
+    """Pids of the live processes whose command line holds text."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                if text.encode() in f.read():
+                    pids.append(int(pid))
+        except OSError:
+            pass
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.skipif(not helper.core_for_helper(), reason="no core for a forked helper")
+def test_sweep_leaves_no_process_once_it_exits(run_dir, data_dir):
+    # the helper, forked with the command's own command line, ends with it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "measim.cli", "sweep", "--run", str(run_dir),
+                           "--data", str(data_dir / "test.csv"), "--rates", "0.8,0.9"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert running_with(str(run_dir)) == []
 
 
 def test_sweep_rejects_unknown_method(run_dir, data_dir, capsys):

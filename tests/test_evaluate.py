@@ -141,8 +141,10 @@ def test_policy_greedy_evaluation_runs():
 
 
 def evaluate_in_helper(monkeypatch, on: bool) -> None:
-    """Evaluate the odd seeds in the helper process, or every seed in this one."""
+    """Evaluate the odd tasks in a helper process, or every task in this one:
+    the next use of the helper starts one as asked."""
     monkeypatch.setattr(helper, "core_for_helper", lambda: on)
+    helper.stop()
 
 
 def capture_rollouts(monkeypatch, measure=False):
@@ -244,9 +246,9 @@ def count_helpers(monkeypatch) -> list[str]:
     started = []
     real = helper.Helper
 
-    def counted(name, handle):
+    def counted(name):
         started.append(name)
-        return real(name, handle)
+        return real(name)
 
     monkeypatch.setattr(helper, "Helper", counted)
     return started
@@ -260,6 +262,18 @@ SUBJECTS = {
     "uninform": lambda: (UniformSelector(), "greedy"),
     "explicit": lambda: (ExplicitSelector(random_imputer(2), k=3), "greedy"),
 }
+
+
+def check_one_helper_kept(started):
+    """After a call that used a forked helper: one named helper is alive, the
+    next call reuses it (the same process), and helper.stop() ends it."""
+    [proc] = multiprocessing.active_children()
+    assert proc.name == helper.NAME and proc.is_alive()
+    eval_policy(UniformSelector(), random_imputer(), truth_matrix(2), 0.5, n_seeds=2)
+    assert [p.pid for p in multiprocessing.active_children()] == [proc.pid]
+    assert started == [helper.NAME]
+    helper.stop()
+    assert multiprocessing.active_children() == []
 
 
 def check_helper_matches_serial(monkeypatch, subject, n_seeds, n_rows):
@@ -278,9 +292,11 @@ def check_helper_matches_serial(monkeypatch, subject, n_seeds, n_rows):
     serial = run(False)
     assert started == []
     split = run(True)
-    n_tasks = n_seeds * len(row_blocks(n_rows))
-    assert started == (["measim-eval"] if n_tasks >= 2 else [])
-    assert multiprocessing.active_children() == []
+    if n_seeds * len(row_blocks(n_rows)) >= 2:
+        check_one_helper_kept(started)
+    else:
+        assert started == []
+        assert multiprocessing.active_children() == []
     assert [r.seed for r in split.rows] == list(range(n_seeds))
     assert all(r.n_examples == n_rows for r in split.rows)
     assert report_bits(split) == report_bits(serial)
@@ -323,7 +339,7 @@ def test_helper_error_reaches_caller_and_leaves_no_process(monkeypatch):
 def test_helper_exit_is_reported_with_its_code(monkeypatch):
     evaluate_in_helper(monkeypatch, True)
     fail_in("helper", monkeypatch, lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match="measim-eval exited with code 3"):
+    with pytest.raises(RuntimeError, match="measim-helper exited with code 3"):
         eval_policy(UniformSelector(), random_imputer(), truth_matrix(), 0.5, n_seeds=2)
     assert multiprocessing.active_children() == []
 
@@ -444,11 +460,12 @@ def test_one_seed_two_blocks_use_the_helper_and_leave_no_process(monkeypatch, ou
     if expected is None:
         report = eval_policy(UniformSelector(), random_imputer(), truth, 0.5, n_seeds=1)
         assert len(report.rows) == 1
+        check_one_helper_kept(started)
     else:
         with pytest.raises(expected):
             eval_policy(UniformSelector(), random_imputer(), truth, 0.5, n_seeds=1)
-    assert started == ["measim-eval"]
-    assert multiprocessing.active_children() == []
+        assert started == [helper.NAME]
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("subject", ["greedy", "stochastic", "explicit"])

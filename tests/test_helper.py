@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,7 +17,8 @@ needs_openblas = pytest.mark.skipif(helper.blas_threads() is None,
 
 
 def core_free(monkeypatch, free: bool) -> None:
-    """Make helper.start see a free CPU core for a helper process, or none."""
+    """Make the helper's first use see a free CPU core for a helper process,
+    or none."""
     monkeypatch.setattr(helper, "core_for_helper", lambda: free)
 
 
@@ -32,15 +34,19 @@ def test_start_without_a_core_computes_in_send_and_answers_in_order(monkeypatch)
         asked.append((request, os.getpid()))
         return 10 * request
 
-    with helper.start("measim-test", handle) as side:
-        side.send(1)
-        side.send(2)
+    with helper.use() as side:
+        side.send(handle, 1)
+        side.send(handle, 2)
         # each reply is formed when its request is sent, in this process
         assert asked == [(1, os.getpid()), (2, os.getpid())]
         assert side.recv() == 10
-        side.send(3)
+        side.send(handle, 3)
         assert [side.recv(), side.recv()] == [20, 30]
         assert multiprocessing.active_children() == []
+    # the first use chose the stand-in, and later uses keep it
+    core_free(monkeypatch, True)
+    with helper.use() as again:
+        assert again is side
 
 
 def test_start_without_a_core_raises_handler_errors_from_send(monkeypatch):
@@ -51,38 +57,117 @@ def test_start_without_a_core_raises_handler_errors_from_send(monkeypatch):
             raise ValueError("bad request on purpose")
         return request
 
-    side = helper.start("measim-test", handle)
-    side.send("good")
-    with pytest.raises(ValueError) as caught:
-        side.send("bad")
-    assert type(caught.value) is ValueError
-    assert str(caught.value) == "bad request on purpose"
-    assert side.recv() == "good"
+    with helper.use() as side:
+        side.send(handle, "good")
+        with pytest.raises(ValueError) as caught:
+            side.send(handle, "bad")
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "bad request on purpose"
+        assert side.recv() == "good"
+
+
+def interrupt_after(monkeypatch, pending: bool) -> list:
+    """Interrupt a use() block after one request, with its reply pending or
+    taken; return the stand-ins closed."""
+    closed = []
+    real = helper._InProcess.close
+    monkeypatch.setattr(helper._InProcess, "close",
+                        lambda self: closed.append(self) or real(self))
+    with pytest.raises(KeyboardInterrupt):
+        with helper.use() as side:
+            side.send(abs, -1)
+            if not pending:
+                assert side.recv() == 1
+            raise KeyboardInterrupt
+    return closed
 
 
 def test_start_without_a_core_closes_on_leaving_with(monkeypatch):
+    # an interrupt between a request and its reply stops the helper, and the
+    # next use starts another
     core_free(monkeypatch, False)
-    side = helper.start("measim-test", lambda request: request)
-    closed = []
-    monkeypatch.setattr(type(side), "close", lambda self: closed.append(self))
-    with pytest.raises(KeyboardInterrupt):
-        with side as entered:
-            assert entered is side
-            raise KeyboardInterrupt
-    assert closed == [side]
+    with helper.use() as side:
+        pass
+    assert interrupt_after(monkeypatch, pending=True) == [side]
+    with helper.use() as again:
+        assert again is not side
+
+
+def test_an_interrupt_after_the_reply_keeps_the_helper(monkeypatch):
+    core_free(monkeypatch, False)
+    with helper.use() as side:
+        pass
+    assert interrupt_after(monkeypatch, pending=False) == []
+    with helper.use() as again:
+        assert again is side
+
+
+def child_pids() -> list[int]:
+    return [p.pid for p in multiprocessing.active_children()]
 
 
 def test_start_with_a_core_forks_a_named_helper(monkeypatch):
     core_free(monkeypatch, True)
-    with helper.start("measim-test", lambda request: (request, os.getpid())) as side:
+    with helper.use() as side:
         assert isinstance(side, helper.Helper)
-        assert [p.name for p in multiprocessing.active_children()] == ["measim-test"]
-        side.send(1)
-        side.send(2)
-        first, second = side.recv(), side.recv()
-        assert (first[0], second[0]) == (1, 2)
-        assert first[1] == second[1] != os.getpid()
+        assert [p.name for p in multiprocessing.active_children()] == [helper.NAME]
+        side.send(abs, -1)
+        side.send(os.getpid)
+        assert side.recv() == 1
+        pid = side.recv()
+    # alive between uses, and the next use reuses it
+    assert child_pids() == [pid] != [os.getpid()]
+    with helper.use() as again:
+        again.send(os.getpid)
+        assert again is side and again.recv() == pid
+    helper.stop()
     assert multiprocessing.active_children() == []
+    with helper.use() as fresh:
+        fresh.send(os.getpid)
+        assert fresh is not side and fresh.recv() not in (pid, os.getpid())
+
+
+@pytest.mark.parametrize("outcome", ["helper error", "interrupt"])
+def test_a_forked_helper_stops_when_a_reply_is_lost(monkeypatch, outcome):
+    core_free(monkeypatch, True)
+    with pytest.raises(ValueError if outcome == "helper error" else KeyboardInterrupt):
+        with helper.use() as side:
+            if outcome == "helper error":
+                side.send(int, "not a number")
+                side.recv()
+            side.send(os.getpid)
+            raise KeyboardInterrupt
+    assert multiprocessing.active_children() == []
+    with helper.use() as fresh:
+        fresh.send(abs, -2)
+        assert fresh is not side and fresh.recv() == 2
+
+
+def running(pid: int) -> bool:
+    """Whether process pid exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.skipif(not helper.core_for_helper(), reason="no core for a forked helper")
+def test_a_forked_helper_exits_when_its_main_process_dies():
+    # os._exit skips the atexit hook: the helper sees the pipe close and ends
+    code = """import os, time
+from measim import helper
+with helper.use() as side:
+    side.send(os.getpid)
+    print(side.recv(), flush=True)
+os._exit(0)
+"""
+    pid = int(python_with_threads(1, code))
+    deadline = time.monotonic() + 10.0
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not running(pid)
 
 
 def python_with_threads(threads, code: str, *args) -> str:

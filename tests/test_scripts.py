@@ -40,3 +40,18 @@ def test_run_experiment_trains_ablations_and_sweeps(tmp_path):
     assert [(r[0], r[1], r[2], r[6]) for r in rows] == [
         (m, "0.9", rate, seed) for m in methods for rate in ("0.8", "0.9")
         for seed in ("0", "1")]
+
+
+def test_run_experiment_checks_every_rate_before_any_work(tmp_path, capsys):
+    # at 99% missing a row of 100 coordinates observes one: nothing to pretrain
+    # on, and 0.8's work must not start either
+    out = tmp_path / "out"
+    code = load_script().main(["--dataset", "sin-single", "--rates", "0.8,0.99",
+                               "--iterations", "1", "--n-train", "16", "--n-test", "6",
+                               "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot train at rate 0.99:")
+    assert "two coordinates" in captured.err
+    assert captured.out == ""
+    assert not out.exists()

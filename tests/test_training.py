@@ -425,9 +425,38 @@ def test_early_stop_on_flat_rewards(monkeypatch):
     assert len(record.stats) == 2 * cfg.early_stop_window
 
 
+@pytest.mark.parametrize("overrides, refused", [
+    (dict(), True),
+    (dict(ablation="no_meta", beta_prime=0.0), True),
+    (dict(ablation="no_adaptation", beta_prime=0.0), True),
+    (dict(ablation="no_adaptation", beta_prime=0.0, finetune_iterations=0), False),
+    (dict(iterations=0), False),
+], ids=["full", "no_meta", "no_adaptation", "no_finetune", "no_iterations"])
+def test_joint_loop_refuses_to_adapt_without_a_row_observing_two(tmp_path, overrides,
+                                                                  refused):
+    # loss_unsupervised skips every row that observes one coordinate, so an
+    # imputer step on such data would have no self-masking signal
+    rng = np.random.default_rng(5)
+    ds = mask_dataset(rng.normal(size=(16, D)), 1, rng)
+    cfg = tiny_config(**overrides)
+    imputer = build_imputer(D, cfg.variant, noise_dim=cfg.noise_dim,
+                            hidden=cfg.imputer_hidden, rng=np.random.default_rng(6))
+    assert cfg.adapts_imputer() is refused
+    out = tmp_path / "run"
+    if refused:
+        with pytest.raises(ValueError, match="two coordinates"):
+            joint_train(cfg, ds, imputer=imputer, out_dir=out)
+        assert not out.exists()
+    else:
+        joint_train(cfg, ds, imputer=imputer, out_dir=out)
+        assert (out / "run.csv").exists()
+
+
 def e2_in_helper(monkeypatch, on: bool) -> None:
-    """Run the joint loop's E2 chain in the helper process, or in this one."""
+    """Run the joint loop's E2 chain in a helper process, or in this one: the
+    next use of the helper starts one as asked."""
     monkeypatch.setattr(helper, "core_for_helper", lambda: on)
+    helper.stop()
 
 
 def track_rollouts(monkeypatch):
@@ -543,7 +572,6 @@ def check_against_serial_reference(variant):
     cfg = tiny_config(variant=variant, smoothness_weight=0.0 if variant == "image" else 0.05)
     pre = pretrained_imputer(cfg, ds)
     _, _, record = joint_train(cfg, ds, imputer=pre)
-    assert multiprocessing.active_children() == []
     reference = serial_joint_train(cfg, ds, pre)
     assert record.stats == reference.stats
     assert record.checksums == reference.checksums
@@ -555,10 +583,18 @@ def test_helper_loop_matches_serial_reference(monkeypatch, variant):
     e2_in_helper(monkeypatch, True)
     started = []
     real = helper.Helper
-    monkeypatch.setattr(helper, "Helper",
-                        lambda name, handle: started.append(name) or real(name, handle))
+    monkeypatch.setattr(helper, "Helper", lambda name: started.append(name) or real(name))
     check_against_serial_reference(variant)
-    assert started == ["measim-e2"]
+    # one named helper is alive, the next call reuses it, and stop() ends it
+    [proc] = multiprocessing.active_children()
+    assert proc.name == helper.NAME and proc.is_alive()
+    ds = tiny_dataset()
+    cfg = tiny_config(iterations=1)
+    joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert [p.pid for p in multiprocessing.active_children()] == [proc.pid]
+    assert started == [helper.NAME]
+    helper.stop()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("variant", ["sinusoid", "image"])
