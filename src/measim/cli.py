@@ -134,14 +134,20 @@ def complete_data(dataset: str, n_train: int | None = None, n_test: int | None =
     return tuple(out)
 
 
+def read_config(path) -> JointConfig:
+    """The config file at path; a missing or malformed one is a usage error
+    naming the file."""
+    if not os.path.exists(path):
+        raise CliError(f"missing file: {path}")
+    try:
+        return load_config(path)
+    except ValueError as e:
+        raise CliError(f"bad config {path}: {e}") from e
+
+
 def build_config(args) -> JointConfig:
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise CliError(f"missing file: {args.config}")
-        try:
-            cfg = load_config(args.config)
-        except ValueError as e:
-            raise CliError(f"bad config {args.config}: {e}") from e
+        cfg = read_config(args.config)
     elif getattr(args, "dataset", None):
         cfg = preset_config(args.dataset)
     else:
@@ -234,7 +240,7 @@ def _load_run(args):
     set, checked to share one width, to be the checkpoints run.csv records
     and to carry ground truth."""
     paths = require_run_files(args.run)
-    cfg = load_config(paths["config"])
+    cfg = read_config(paths["config"])
     policy = load_policy(paths["actor"], paths["critic"])
     imputer = load_imputer(paths["imputer"])
     ds = load_dataset_csv(args.data)

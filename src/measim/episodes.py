@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .imputer import ImputerModel, impute_batch
-from .masks import round_half_up
+from .masks import mcar_spec
 from .policy import (
     PolicyModel,
     StepBatch,
@@ -29,10 +29,11 @@ ROLLOUT_MODES = ("explore", "stochastic", "greedy")
 
 
 def horizon_for(d: int, missing_rate: float) -> int:
-    """Measurements per episode; terminal observation count matches training."""
+    """Measurements per episode: masking's observed count at the rate
+    (mcar_spec), at least one, so terminal states match the training data."""
     if not (0.0 <= missing_rate < 1.0):
         raise ValueError(f"missing rate must lie in [0, 1), got {missing_rate}")
-    return max(1, round_half_up(d * (1.0 - missing_rate)))
+    return max(1, mcar_spec(d, missing_rate))
 
 
 @dataclass

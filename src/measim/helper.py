@@ -1,11 +1,12 @@
 """One helper per process, beside the main one, for work that can overlap.
 
-The joint loop sends its E2 chain to it (training.joint_train) and
-evaluation half of its (seed, row block) tasks (evaluate.eval_policy).  The
-helper is started on first use (use()) and every later use in the process
-reuses it.  That first use makes the one choice of how it runs: a forked
-process where core_for_helper() holds, else a stand-in that answers each
-request in this process.  Callers write one code path for both.  Forking
+The joint loop sends it two requests per iteration, to roll the E2 set and
+to form its actor-gradient term (training.joint_train), and evaluation half
+of its (seed, row block) tasks (evaluate.eval_policy).  The helper is
+started on first use (use()) and every later use in the process reuses it.
+That first use makes the one choice of how it runs: a forked process where
+core_for_helper() holds, else a stand-in that answers each request in this
+process.  Callers write one code path for both.  Forking
 gives the helper this process's loaded NumPy and BLAS, so it computes under
 the same numeric environment and its bits are the same as computing here.
 It sees this process only as it was at the fork, so a request names a

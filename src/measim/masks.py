@@ -100,6 +100,13 @@ def mask_dataset(
     return MissingDataset(complete * masks, masks, ground_truth=complete.copy())
 
 
+def csv_header(d: int, with_ground_truth: bool) -> list[str]:
+    """The missing-data CSV header: v0..v{d-1}, m0..m{d-1}, then, with
+    ground truth, gt0..gt{d-1}."""
+    prefixes = ("v", "m", "gt") if with_ground_truth else ("v", "m")
+    return [f"{p}{i}" for p in prefixes for i in range(d)]
+
+
 def save_missing_csv(dataset: MissingDataset, path, include_ground_truth: bool = True) -> None:
     """One row per example: D value columns, D mask columns, optionally D
     ground-truth columns (their presence in the header is the flag).
@@ -109,9 +116,7 @@ def save_missing_csv(dataset: MissingDataset, path, include_ground_truth: bool =
     """
     d = dataset.dim
     with_gt = include_ground_truth and dataset.ground_truth is not None
-    header = [f"v{i}" for i in range(d)] + [f"m{i}" for i in range(d)]
-    if with_gt:
-        header += [f"gt{i}" for i in range(d)]
+    header = csv_header(d, with_gt)
     masks = dataset.masks.astype(np.int64)
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
@@ -124,27 +129,30 @@ def save_missing_csv(dataset: MissingDataset, path, include_ground_truth: bool =
 
 
 def load_missing_csv(path) -> MissingDataset:
-    """Inverse of save_missing_csv.  Ragged or non-numeric rows raise
-    ValueError; a header-only file is an empty (0, D) dataset."""
+    """Inverse of save_missing_csv.  A header other than csv_header's, or
+    ragged or non-numeric rows, raise ValueError; a header-only file is an
+    empty (0, D) dataset."""
     with open(path, newline="") as f:
         header = next(csv.reader(f), None)
         if header is None:
             raise ValueError("empty file: no header row")
+        # D from the header's length; a gt column marks the ground-truth form
+        with_gt = any(h.startswith("gt") for h in header)
+        d = len(header) // (3 if with_gt else 2)
+        expected = csv_header(d, with_gt)
+        for j, name in enumerate(header):
+            if j >= len(expected) or name != expected[j]:
+                raise ValueError(f"malformed header: unexpected column {name!r} at position "
+                                 f"{j}; expected v0..vD-1,m0..mD-1, then optionally gt0..gtD-1")
+        if d == 0:
+            raise ValueError("malformed header: no value or mask columns")
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             # comments=None: a '#' row is a non-numeric field, not a comment
             table = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
-    n_v = sum(1 for h in header if h.startswith("v"))
-    n_m = sum(1 for h in header if h.startswith("m"))
-    n_gt = sum(1 for h in header if h.startswith("gt"))
-    if n_v == 0 or n_v != n_m:
-        raise ValueError(f"malformed header: {n_v} value and {n_m} mask columns")
-    if n_gt and n_gt != n_v:
-        raise ValueError(f"{n_gt} ground-truth columns for dimension {n_v}")
     if table.shape[0] == 0:
         table = table.reshape(0, len(header))
     elif table.shape[1] != len(header):
         raise ValueError(f"rows have {table.shape[1]} columns, header has {len(header)}")
-    d = n_v
-    gt = table[:, 2 * d:3 * d] if n_gt else None
+    gt = table[:, 2 * d:3 * d] if with_gt else None
     return MissingDataset(table[:, :d], table[:, d:2 * d], gt)

@@ -82,7 +82,7 @@ class DenseNet:
     net's dtype, float32 or float64; initial weights are drawn in float64
     and then cast, so a net draws the same numbers in either dtype.
     `version` counts parameter mutations so stale tapes can be rejected;
-    step and assign are the only ways parameters change.
+    step is the only way parameters change.
     """
 
     def __init__(
@@ -174,14 +174,6 @@ class DenseNet:
     def step(self, grads: list[np.ndarray], state: "OptimizerState") -> None:
         """Apply one optimizer step in place and invalidate existing tapes."""
         optimizer_step(self.params(), grads, state)
-        self.version += 1
-
-    def assign(self, params: list[np.ndarray]) -> None:
-        """Copy values into the parameters, in params() order, and invalidate
-        existing tapes."""
-        # paired up front, so a list of the wrong length writes nothing
-        for p, src in list(zip(self.params(), params, strict=True)):
-            p[...] = src
         self.version += 1
 
 

@@ -208,6 +208,7 @@ def parse_config(text: str) -> JointConfig:
     hints = typing.get_type_hints(JointConfig)
     known = {f.name for f in dataclasses.fields(JointConfig)}
     values: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -218,6 +219,10 @@ def parse_config(text: str) -> JointConfig:
         key = key.strip()
         if key not in known:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"line {lineno}: config key {key!r} set twice "
+                             f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         values[key] = _parse_value(raw.strip(), hints[key])
     return JointConfig(**values)
 
@@ -372,57 +377,30 @@ def _adapt_round(policy: PolicyModel, imputer: ImputerModel, mv, mm, xbar,
     return imputer, unsup, sup
 
 
-class _E2Chain:
-    """The joint loop's E2 chain, in the slot of the process that runs it.
-
-    roll(actor params, critic params, xbar, i) loads the parameters into
-    self.policy with DenseNet.assign, rolls iteration i's E2 set and returns
-    its terminal state; reward(r2) returns the set's actor-gradient term,
-    with advantages from advantages_for.  The term reads the critic before
-    its update, so the loop sends the rewards before critic_update.
-    self.policy is a copy of the policy being trained, in a forked helper
-    and in this process alike.
-    """
-
-    def __init__(self, policy: PolicyModel, horizon: int, seed: int, normalize: bool):
-        self.policy = policy
-        self._horizon, self._seed, self._normalize = horizon, seed, normalize
-        self._roll: Rollout | None = None
-
-    def roll(self, actor_params, critic_params, xbar, i: int):
-        self.policy.actor.assign(actor_params)
-        self.policy.critic.assign(critic_params)
-        self._roll = rollout_batch(self.policy, xbar, self._horizon, "stochastic",
-                                   rngs.substream(self._seed, rngs.EPISODE_2, i))
-        return self._roll.terminal_values, self._roll.terminal_masks
-
-    def reward(self, rewards):
-        # spent once its term is formed: released before the next rollout
-        roll, self._roll = self._roll, None
-        adv = advantages_for(self.policy, roll.steps, rewards, self._normalize)
-        return actor_gradient(self.policy, roll.steps, adv)
+# the E2 set _e2_roll rolled and _e2_term has not spent yet, with the policy
+# that rolled it, in the process that runs the requests
+_e2: tuple[PolicyModel, Rollout] | None = None
 
 
-# the E2 chain of the process's helper, between _e2_open and _e2_close
-_e2: _E2Chain | None = None
-
-
-def _e2_open(policy: PolicyModel, horizon: int, seed: int, normalize: bool) -> None:
+def _e2_roll(actor: nn.DenseNet, critic: nn.DenseNet, xbar, horizon: int, seed: int, i: int):
+    """Roll iteration i's E2 set under the nets sent, keep it for _e2_term
+    and return its terminal state."""
     global _e2
-    _e2 = _E2Chain(policy, horizon, seed, normalize)
+    # no critic optimizer: the E2 term reads the critic and never fits it
+    policy = PolicyModel(actor, critic, None)
+    roll = rollout_batch(policy, xbar, horizon, "stochastic",
+                         rngs.substream(seed, rngs.EPISODE_2, i))
+    _e2 = policy, roll
+    return roll.terminal_values, roll.terminal_masks
 
 
-def _e2_roll(actor_params, critic_params, xbar, i: int):
-    return _e2.roll(actor_params, critic_params, xbar, i)
-
-
-def _e2_reward(rewards):
-    return _e2.reward(rewards)
-
-
-def _e2_close() -> None:
+def _e2_term(rewards, normalize: bool):
+    """The kept E2 set's actor-gradient term, with advantages from
+    advantages_for; the set is spent, released before the next rollout."""
     global _e2
-    _e2 = None
+    (policy, roll), _e2 = _e2, None
+    adv = advantages_for(policy, roll.steps, rewards, normalize)
+    return actor_gradient(policy, roll.steps, adv)
 
 
 def pretrain_imputer(cfg: JointConfig, dataset: MissingDataset) -> tuple[ImputerModel, list[float]]:
@@ -461,19 +439,19 @@ def joint_train(
     cfg.finetune_iterations rounds); the fine-tuned imputer is the one
     returned, checksummed and saved.
 
-    With an E2 set (ablation "full" and at least one iteration), the E2
-    chain, the rollout and its actor-gradient term under the pre-update actor
-    and critic, goes to the process's helper (helper.use).  The chain opens
-    with one request carrying a copy of the policy, and each iteration's
-    requests carry the parameters, x-bar and rewards.  Where a CPU core was
-    free when the helper started (helper.core_for_helper: the BLAS computes
-    with one thread, two CPUs are usable and the platform can fork) the
-    helper is a forked process that runs the chain while this process rolls
-    and rewards E1, forms phi_new, rewards E2 and fits the critic.
-    Otherwise it runs the chain here, each request as it is sent: E2 rolls
-    before E1, and its term is formed before the critic fit.  Every draw is
-    keyed by its substream and the forked process computes under the same
-    numeric environment, so every output bit is the same either way.
+    With an E2 set (ablation "full" and at least one iteration), two
+    requests per iteration go to the process's helper (helper.use): _e2_roll
+    carries the pre-update actor and critic and rolls the E2 set, _e2_term
+    carries its rewards and forms its actor-gradient term.  Where a CPU core
+    was free when the helper started (helper.core_for_helper: the BLAS
+    computes with one thread, two CPUs are usable and the platform can fork)
+    the helper is a forked process, sent copies of the nets, that computes
+    both while this process rolls and rewards E1, forms phi_new, rewards E2
+    and fits the critic.  Otherwise each request runs here on the live nets
+    as it is sent: E2 rolls before E1, and its term is formed before the
+    critic fit and the actor step.  Every draw is keyed by its substream and
+    the forked process computes under the same numeric environment, so every
+    output bit is the same either way.
 
     A run that adapts the imputer (JointConfig.adapts_imputer) on data where
     no row observes two coordinates is refused with ValueError before
@@ -513,13 +491,10 @@ def joint_train(
     last_rewards: np.ndarray | None = None
 
     # the E2 set (ablation "full" only) reads nothing E1 produces except its
-    # reward model, so its chain goes to the helper, which runs it beside E1
-    # where a core is free
+    # reward model, so its rollout and actor term go to the helper, which
+    # computes them beside E1 where a core is free
     has_e2 = cfg.ablation == "full" and cfg.iterations > 0
     with helper.use() if has_e2 else contextlib.nullcontext() as e2:
-        if e2 is not None:
-            e2.send(_e2_open, policy.copy(), horizon, seed, cfg.normalize_advantages)
-            e2.recv()
         for i in range(cfg.iterations):
             idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
             mv = dataset.values[idx]
@@ -528,7 +503,7 @@ def joint_train(
             # (1) one generated complete vector per missing example
             xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
             if e2 is not None:
-                e2.send(_e2_roll, policy.actor.params(), policy.critic.params(), xbar, i)
+                e2.send(_e2_roll, policy.actor, policy.critic, xbar, horizon, seed, i)
 
             # (2) exploration episodes, rewarded by the current imputer
             roll1 = rollout_batch(policy, xbar, horizon, "explore",
@@ -552,7 +527,7 @@ def joint_train(
                 r2 = terminal_rewards_batch(phi_new, roll2, cfg.k_reward,
                                             rngs.substream(seed, rngs.REWARD_2, i))
                 _require_finite(r2, "reward", i)
-                e2.send(_e2_reward, r2)
+                e2.send(_e2_term, r2, cfg.normalize_advantages)
 
             # (5) two-term actor step; advantages use the critic before its
             # update, for the E2 term too, and the fit returns E1's
@@ -594,9 +569,6 @@ def joint_train(
             if plateaued(record.rewards, cfg.early_stop_window, cfg.early_stop_tol):
                 record.stopped_early = True
                 break
-        if e2 is not None:
-            e2.send(_e2_close)
-            e2.recv()
 
     if not adapt:
         imputer = finetune_after(policy, imputer, cfg, dataset)

@@ -292,6 +292,30 @@ def test_bad_config_value_is_usage_error(tmp_path, data_dir, capsys, command, li
     assert not out.exists()                 # rejected before any work ran
 
 
+def test_repeated_config_key_is_usage_error(tmp_path, data_dir, capsys):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text("iterations=3\niterations=5\n")
+    out = tmp_path / "out"
+    code = main(["train-joint", "--data", str(data_dir / "train.csv"),
+                 "--out", str(out), "--config", str(cfg_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"bad config {cfg_path}" in err and "'iterations' set twice" in err
+    assert not out.exists()
+
+
+def test_eval_of_a_run_with_a_bad_config_names_it(run_dir, data_dir, capsys):
+    # the same usage error as a bad --config, naming the run's config file
+    with open(run_dir / "config.txt", "a") as f:
+        f.write("bogus=1\n")
+    capsys.readouterr()
+    code = main(["eval", "--run", str(run_dir), "--data", str(data_dir / "test.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"bad config {run_dir / 'config.txt'}" in err
+    assert "unknown config key 'bogus'" in err
+
+
 def test_eval_without_checkpoint_names_file(tmp_path, data_dir, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()

@@ -264,10 +264,18 @@ def test_csv_round_trip_without_ground_truth(tmp_path):
     assert not any(h.startswith("gt") for h in header)
 
 
-def test_csv_malformed_header_rejected(tmp_path):
+@pytest.mark.parametrize("header, row, unexpected", [
+    ("v0,v1,m0", "1.0,2.0,1", "v1"),
+    ("m0,m1,v0,v1", "1,0,0.5,0.0", "m0"),
+    ("v1,v0,m1,m0", "0.0,0.5,0,1", "v1"),
+    ("v0,v1,m0,m1,x0", "0.5,0.0,1,0,7.0", "x0"),
+    ("v0,v1,m0,m1,gt0,gtx", "0.5,0.0,1,0,0.5,0.2", "gtx"),
+], ids=["missing-mask-column", "masks-first", "coordinates-swapped", "extra-column",
+        "misnamed-gt"])
+def test_csv_malformed_header_rejected(tmp_path, header, row, unexpected):
     path = tmp_path / "bad.csv"
-    path.write_text("v0,v1,m0\n1.0,2.0,1\n")
-    with pytest.raises(ValueError):
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValueError, match=f"unexpected column '{unexpected}'"):
         load_missing_csv(path)
 
 

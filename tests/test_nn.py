@@ -110,26 +110,6 @@ def test_stale_tape_detected():
         nn.backward(net, tape, np.ones_like(out))
 
 
-def test_assign_copies_values_and_invalidates_tapes():
-    rng = np.random.default_rng(7)
-    net = nn.DenseNet([2, 3, 1], rng=rng)
-    src = nn.DenseNet([2, 3, 1], rng=rng)
-    before = [p.copy() for p in net.params()]
-    # a list of the wrong length is rejected before any value is written
-    for params in (src.params()[:-1], src.params() + [np.zeros(1)]):
-        with pytest.raises(ValueError):
-            net.assign(params)
-    assert net.version == 0
-    assert all(np.array_equal(a, b) for a, b in zip(net.params(), before))
-
-    out, tape = nn.forward(net, np.array([[0.5, -0.5]]))
-    net.assign(src.params())
-    assert all(np.array_equal(a, b) and a is not b
-               for a, b in zip(net.params(), src.params()))
-    with pytest.raises(nn.StaleTapeError):
-        nn.backward(net, tape, np.ones_like(out))
-
-
 def test_batched_forward_matches_rowwise():
     # batched and single-row matmuls may accumulate in different BLAS
     # orders, so equality here is close, not bitwise

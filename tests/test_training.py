@@ -163,6 +163,12 @@ def test_config_parse_rejects_unknown_key():
         parse_config("betta=0.1\n")
 
 
+def test_config_parse_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match=r"line 3: config key 'iterations' set twice "
+                                         r"\(first on line 1\)"):
+        parse_config("iterations=3\nseed=1\niterations=5\n")
+
+
 def test_config_parse_rejects_bad_boolean():
     with pytest.raises(ValueError, match="true/false"):
         parse_config("normalize_advantages=1\n")
@@ -453,7 +459,7 @@ def test_joint_loop_refuses_to_adapt_without_a_row_observing_two(tmp_path, overr
 
 
 def e2_in_helper(monkeypatch, on: bool) -> None:
-    """Run the joint loop's E2 chain in a helper process, or in this one: the
+    """Run the joint loop's E2 requests in a helper process, or in this one: the
     next use of the helper starts one as asked."""
     monkeypatch.setattr(helper, "core_for_helper", lambda: on)
     helper.stop()
@@ -548,8 +554,8 @@ def serial_joint_train(cfg, ds, imputer):
         adv2 = advantages_for(policy, roll2.steps, r2, cfg.normalize_advantages)
         g2 = actor_gradient(policy, roll2.steps, adv2)
         critic_loss, _ = critic_update(policy, roll1.steps, r1, cfg.normalize_advantages)
-        policy.actor.assign([p - cfg.beta * a - cfg.beta_prime * b
-                             for p, a, b in zip(policy.actor.params(), g1, g2)])
+        policy.actor.step(g1, OptimizerState(kind="sgd", lr=cfg.beta))
+        policy.actor.step(g2, OptimizerState(kind="sgd", lr=cfg.beta_prime))
         roll3 = rollout_batch(policy, xbar, horizon, "stochastic",
                               rngs.substream(seed, rngs.EPISODE_3, i), grad=False)
         imputer, losses = adapt_step(imputer, mv, mm, roll3.terminal_values,
