@@ -6,7 +6,8 @@ it, runs the joint loop (and with --ablations the no_meta and no_adaptation
 variants), then sweeps every trained policy and the uniform-random and
 variance-greedy baselines, both under the pretrained imputer, over the
 evaluation rates on held-out data with ground truth.  The dataset presets,
-default sizes and MNIST lookup are the `measim` CLI's.  Artifacts:
+default sizes, MNIST lookup, masking and baselines are the `measim` CLI's.
+Artifacts:
 
     <out>/<ablation>-<rate>/  config.txt, environment.json, run.csv,
                               actor/critic/imputer.ckpt (ablation: full, no_meta,
@@ -27,11 +28,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from measim import cli, helper, rngs
-from measim.episodes import ExplicitSelector, UniformSelector, horizon_for
+from measim import cli, helper
 from measim.evaluate import EvalReport, sweep_missing_rates, write_sweep_csv
 from measim.imputer import any_row_observes_two
-from measim.masks import mask_dataset
 from measim.training import ABLATIONS, joint_train, pretrain_imputer
 
 
@@ -61,12 +60,6 @@ def parse_args(argv=None):
     return args
 
 
-def masked_train(train, cfg):
-    """The train split as the joint loop at cfg.missing_rate sees it."""
-    return mask_dataset(train, horizon_for(train.shape[1], cfg.missing_rate),
-                        rngs.substream(cfg.seed, rngs.DATA_MASK, 0))
-
-
 def run(args) -> int:
     train, test = cli.complete_data(args.dataset, args.n_train, args.n_test,
                                     args.seed, args.mnist_dir)
@@ -75,19 +68,17 @@ def run(args) -> int:
     out = args.out or os.path.join("runs", args.dataset)
     ablations = ABLATIONS if args.ablations else ABLATIONS[:1]
 
-    configs = [dataclasses.replace(preset, missing_rate=rate)
-               for rate in args.rates or [preset.missing_rate]]
-    # every rate is checked before any rate's work starts
-    for cfg in configs:
-        if ((cfg.pretrain_epochs > 0 or cfg.adapts_imputer())
-                and not any_row_observes_two(masked_train(train, cfg).masks)):
-            raise cli.CliError(f"cannot train at rate {cfg.missing_rate:g}: no row of the "
+    rates = args.rates or [preset.missing_rate]
+    # gen-data's train split at each rate, every one checked before any work starts
+    splits = [cli.mask_split(train, rate, args.seed, 0).without_ground_truth() for rate in rates]
+    for rate, ds in zip(rates, splits):
+        if not any_row_observes_two(ds.masks):
+            raise cli.CliError(f"cannot train at rate {rate:g}: no row of the "
                                "masked train split observes two coordinates")
 
     report = EvalReport()
-    for cfg in configs:
-        rate = cfg.missing_rate
-        ds = masked_train(train, cfg)
+    for rate, ds in zip(rates, splits):
+        cfg = dataclasses.replace(preset, missing_rate=rate)
         pre, curve = pretrain_imputer(cfg, ds)
         print(f"== {args.dataset} @ {rate:g}: pretrained {len(curve)} epochs, "
               f"loss {curve[-1]:.5f}")
@@ -102,8 +93,8 @@ def run(args) -> int:
                   f"{record.stats[-1].reward_e1:.5f} -> {run_dir}")
             trained.append(("proposed" if ablation == "full" else ablation, policy, imputer))
 
-        baselines = [("uninform", UniformSelector(), pre),
-                     ("explicit", ExplicitSelector(pre, k=args.explicit_k), pre)]
+        baselines = [(m, cli.subject_for(m, None, pre, args.explicit_k), pre)
+                     for m in ("uninform", "explicit")]
         for method, subject, imputer in trained[:1] + baselines + trained[1:]:
             report.extend(sweep_missing_rates(subject, imputer, test,
                                               args.eval_rates or [rate], k=3,

@@ -18,7 +18,7 @@ from .data import MNIST_STEMS, find_mnist_file, gen_sinusoid_dataset, mnist12_da
 from .episodes import ExplicitSelector, UniformSelector, horizon_for
 from .evaluate import EvalReport, eval_policy, sweep_missing_rates, write_sweep_csv
 from .imputer import any_row_observes_two, load_imputer, save_imputer
-from .masks import load_missing_csv, mask_dataset, save_missing_csv
+from .masks import MissingDataset, load_missing_csv, mask_dataset, save_missing_csv
 from .policy import load_policy
 from .training import (
     JointConfig,
@@ -134,13 +134,18 @@ def complete_data(dataset: str, n_train: int | None = None, n_test: int | None =
     return tuple(out)
 
 
+def existing(path, kind: str = "file"):
+    """path, if it exists; otherwise a usage error naming it."""
+    if not os.path.exists(path):
+        raise CliError(f"missing {kind}: {path}")
+    return path
+
+
 def read_config(path) -> JointConfig:
     """The config file at path; a missing or malformed one is a usage error
     naming the file."""
-    if not os.path.exists(path):
-        raise CliError(f"missing file: {path}")
     try:
-        return load_config(path)
+        return load_config(existing(path))
     except ValueError as e:
         raise CliError(f"bad config {path}: {e}") from e
 
@@ -168,10 +173,18 @@ def build_config(args) -> JointConfig:
         raise CliError(str(e)) from e
 
 
-def load_dataset_csv(path):
-    if not os.path.exists(path):
-        raise CliError(f"missing file: {path}")
-    return load_missing_csv(path)
+def load_data(path, test: bool = False) -> MissingDataset:
+    """The missing-data CSV at path.  A missing file, or one without rows, is
+    a usage error naming it.  Training data is stripped of ground truth; test
+    data must carry it."""
+    ds = load_missing_csv(existing(path))
+    if not len(ds):
+        raise CliError(f"data file has no rows: {path}")
+    if not test:
+        return ds.without_ground_truth()
+    if ds.ground_truth is None:
+        raise CliError(f"test data has no ground-truth columns: {path}")
+    return ds
 
 
 def require_same_width(*named) -> None:
@@ -190,37 +203,38 @@ def require_matching_rate(cfg: JointConfig, ds, path) -> None:
     both rates."""
     horizon = horizon_for(ds.dim, cfg.missing_rate)
     counts = np.unique(ds.masks.sum(axis=1)).astype(int).tolist()
-    if len(ds) and counts != [horizon]:
+    if counts != [horizon]:
         rates = "/".join(f"{1.0 - c / ds.dim:g}" for c in counts)
         raise CliError(f"missing-rate mismatch: {path} has missing rate {rates}, "
                        f"the config's is {cfg.missing_rate:g}; pass --missing-rate")
 
 
-def require_pretrainable(cfg: JointConfig, ds, path) -> None:
-    """The self-masking loss needs a row observing two coordinates."""
-    if cfg.pretrain_epochs > 0 and not any_row_observes_two(ds.masks):
+def require_trainable(cfg: JointConfig, ds, path, pretrains: bool, adapts: bool) -> None:
+    """Pretraining's self-masking loss needs a row observing two coordinates,
+    and so do the joint loop's imputer step and the fine-tune after it."""
+    if any_row_observes_two(ds.masks):
+        return
+    if pretrains and cfg.pretrain_epochs > 0:
         raise CliError(f"cannot pretrain on {path}: no row observes two coordinates")
-
-
-def require_adaptable(cfg: JointConfig, ds, path) -> None:
-    """So does the joint loop's imputer step, and the fine-tune after it."""
-    if cfg.adapts_imputer() and not any_row_observes_two(ds.masks):
+    if adapts and cfg.adapts_imputer():
         raise CliError(f"cannot adapt the imputer on {path}: no row observes two coordinates")
 
 
-def require_run_files(run_dir) -> dict:
-    paths = {
-        "config": os.path.join(run_dir, "config.txt"),
-        "run": os.path.join(run_dir, "run.csv"),
-        "actor": os.path.join(run_dir, "actor.ckpt"),
-        "critic": os.path.join(run_dir, "critic.ckpt"),
-        "imputer": os.path.join(run_dir, "imputer.ckpt"),
-    }
-    for name, path in paths.items():
-        if not os.path.exists(path):
-            kind = "file" if name in ("config", "run") else "checkpoint"
-            raise CliError(f"missing {kind}: {path}")
-    return paths
+def mask_split(complete: np.ndarray, rate: float, seed: int, split: int) -> MissingDataset:
+    """gen-data's masking of split 0 (train) or 1 (test): every row observes
+    as many coordinates as an episode at rate measures."""
+    return mask_dataset(complete, horizon_for(complete.shape[1], rate),
+                        rngs.substream(seed, rngs.DATA_MASK, split))
+
+
+def subject_for(method: str, policy, imputer, explicit_k: int):
+    """What a method name evaluates: a baseline selector under imputer, or
+    the trained policy."""
+    if method == "uninform":
+        return UniformSelector()
+    if method == "explicit":
+        return ExplicitSelector(imputer, k=explicit_k)
+    return policy
 
 
 def require_recorded_checksums(paths, policy, imputer) -> None:
@@ -239,17 +253,17 @@ def _load_run(args):
     """The --run directory's config, policy and imputer, and the --data test
     set, checked to share one width, to be the checkpoints run.csv records
     and to carry ground truth."""
-    paths = require_run_files(args.run)
+    paths = {f.partition(".")[0]: existing(os.path.join(args.run, f),
+                                           "checkpoint" if f.endswith(".ckpt") else "file")
+             for f in ("config.txt", "run.csv", "actor.ckpt", "critic.ckpt", "imputer.ckpt")}
     cfg = read_config(paths["config"])
     policy = load_policy(paths["actor"], paths["critic"])
     imputer = load_imputer(paths["imputer"])
-    ds = load_dataset_csv(args.data)
+    ds = load_data(args.data, test=True)
     require_same_width(("policy", paths["actor"], policy.d),
                        ("imputer", paths["imputer"], imputer.d),
                        ("data", args.data, ds.dim))
     require_recorded_checksums(paths, policy, imputer)
-    if ds.ground_truth is None:
-        raise CliError(f"test data has no ground-truth columns: {args.data}")
     return cfg, policy, imputer, ds
 
 
@@ -269,9 +283,8 @@ def _print_report(report: EvalReport) -> None:
 def cmd_gen_data(args) -> int:
     train, test = complete_data(args.dataset, args.n_train, args.n_test, args.seed,
                                 args.mnist_dir)
-    n_observed = horizon_for(train.shape[1], args.missing_rate)
-    train_ds = mask_dataset(train, n_observed, rngs.substream(args.seed, rngs.DATA_MASK, 0))
-    test_ds = mask_dataset(test, n_observed, rngs.substream(args.seed, rngs.DATA_MASK, 1))
+    train_ds = mask_split(train, args.missing_rate, args.seed, 0)
+    test_ds = mask_split(test, args.missing_rate, args.seed, 1)
 
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.csv")
@@ -286,8 +299,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = build_config(args)
-    ds = load_dataset_csv(args.data).without_ground_truth()
-    require_pretrainable(cfg, ds, args.data)
+    ds = load_data(args.data)
+    require_trainable(cfg, ds, args.data, pretrains=True, adapts=False)
     model, curve = pretrain_imputer(cfg, ds)
     os.makedirs(args.out, exist_ok=True)
     write_config(cfg, os.path.join(args.out, "config.txt"))
@@ -308,18 +321,14 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train_joint(args) -> int:
     cfg = build_config(args)
-    ds = load_dataset_csv(args.data).without_ground_truth()
+    ds = load_data(args.data)
     imputer = None
     if args.imputer:
-        if not os.path.exists(args.imputer):
-            raise CliError(f"missing checkpoint: {args.imputer}")
-        imputer = load_imputer(args.imputer)
+        imputer = load_imputer(existing(args.imputer, "checkpoint"))
         require_same_width(("imputer", args.imputer, imputer.d),
                            ("data", args.data, ds.dim))
-    else:
-        require_pretrainable(cfg, ds, args.data)
     require_matching_rate(cfg, ds, args.data)
-    require_adaptable(cfg, ds, args.data)
+    require_trainable(cfg, ds, args.data, pretrains=imputer is None, adapts=True)
     policy, imputer, record = joint_train(cfg, ds, imputer=imputer, out_dir=args.out,
                                           trace_episodes=args.trace_episodes)
     if record.stats:
@@ -346,14 +355,10 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     check_explicit_k(args.methods, args.explicit_k)
     cfg, policy, imputer, ds = _load_run(args)
-    subjects = {
-        "proposed": lambda: policy,
-        "uninform": UniformSelector,
-        "explicit": lambda: ExplicitSelector(imputer, k=args.explicit_k),
-    }
     report = EvalReport()
     for m in args.methods:
-        report.extend(sweep_missing_rates(subjects[m](), imputer, ds, args.rates,
+        subject = subject_for(m, policy, imputer, args.explicit_k)
+        report.extend(sweep_missing_rates(subject, imputer, ds, args.rates,
                                           k=args.k, n_seeds=args.n_seeds,
                                           seed=args.seed, method=m,
                                           trained_rate=cfg.missing_rate))
@@ -368,17 +373,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_baseline(args) -> int:
     check_explicit_k([args.method], args.explicit_k)
-    if not os.path.exists(args.imputer):
-        raise CliError(f"missing checkpoint: {args.imputer}")
-    imputer = load_imputer(args.imputer)
-    ds = load_dataset_csv(args.data)
+    imputer = load_imputer(existing(args.imputer, "checkpoint"))
+    ds = load_data(args.data, test=True)
     require_same_width(("imputer", args.imputer, imputer.d), ("data", args.data, ds.dim))
-    if ds.ground_truth is None:
-        raise CliError(f"test data has no ground-truth columns: {args.data}")
-    if args.method == "uninform":
-        subject = UniformSelector()
-    else:
-        subject = ExplicitSelector(imputer, k=args.explicit_k)
+    subject = subject_for(args.method, None, imputer, args.explicit_k)
     report = eval_policy(subject, imputer, ds, args.missing_rate, k=args.k,
                          n_seeds=args.n_seeds, seed=args.seed, method=args.method)
     _print_report(report)

@@ -12,7 +12,6 @@ is their input; probabilities, rewards and advantages stay float64.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +41,6 @@ class PolicyModel:
     @property
     def d(self) -> int:
         return self.actor.out_dim
-
-    def copy(self) -> "PolicyModel":
-        return PolicyModel(self.actor.copy(), self.critic.copy(),
-                           copy.deepcopy(self.critic_opt))
 
 
 def build_policy(

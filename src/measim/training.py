@@ -223,7 +223,10 @@ def parse_config(text: str) -> JointConfig:
             raise ValueError(f"line {lineno}: config key {key!r} set twice "
                              f"(first on line {first_line[key]})")
         first_line[key] = lineno
-        values[key] = _parse_value(raw.strip(), hints[key])
+        try:
+            values[key] = _parse_value(raw.strip(), hints[key])
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {key}: {e}") from None
     return JointConfig(**values)
 
 

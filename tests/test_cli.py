@@ -232,6 +232,42 @@ def test_train_joint_refuses_to_adapt_on_data_with_no_row_observing_two(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("pretrain", {}),
+    ("pretrain", {"pretrain_epochs": 0}),
+    ("train-joint", {"finetune_iterations": 0}),
+    ("eval", {}),
+    ("sweep", {}),
+    ("baseline", {}),
+], ids=["pretrain", "pretrain-no-epochs", "train-joint", "eval", "sweep", "baseline"])
+def test_data_file_without_rows_is_usage_error_naming_it(tmp_path, run_dir, capsys,
+                                                         command, overrides):
+    # a header-only CSV: a training split, or a test split with its truth columns
+    test = command in ("eval", "sweep", "baseline")
+    empty = np.zeros((0, 100))
+    data = tmp_path / "empty.csv"
+    save_missing_csv(MissingDataset(empty, empty, empty if test else None), data,
+                     include_ground_truth=test)
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(**overrides), cfg_path)
+    out = tmp_path / "out"
+    imputer = str(run_dir / "imputer.ckpt")
+    argv = {
+        "pretrain": ["--config", str(cfg_path)],
+        "train-joint": ["--config", str(cfg_path), "--imputer", imputer,
+                        "--ablation", "no-adaptation"],
+        "eval": ["--run", str(run_dir)],
+        "sweep": ["--run", str(run_dir), "--rates", "0.9"],
+        "baseline": ["--method", "uninform", "--imputer", imputer],
+    }[command]
+    before = sorted(p.name for p in run_dir.iterdir())
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--out", str(out), *argv]) == 1
+    assert f"data file has no rows: {data}" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in run_dir.iterdir()) == before
+
+
 def test_train_joint_run_directory(run_dir):
     for name in ("config.txt", "run.csv", "actor.ckpt", "critic.ckpt", "imputer.ckpt"):
         assert (run_dir / name).exists(), name
@@ -274,7 +310,8 @@ def test_flag_overrides_config_file(tmp_path, data_dir):
 
 
 BAD_CONFIG_LINES = ("dropout=1.5", "self_mask_fraction=1.5", "gaussian_kernel_sigma=0",
-                    "beta=nan", "critic_lr=inf")
+                    "beta=nan", "critic_lr=inf", "iterations=abc", "normalize_advantages=True",
+                    "actor_hidden=128,x", "batch_size=3.0")
 
 
 @pytest.mark.parametrize("command, line", [

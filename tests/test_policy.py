@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -305,8 +307,8 @@ def test_critic_update_returns_advantages_of_its_one_forward(monkeypatch):
     rng = np.random.default_rng(31)
     steps = rollout_batch(model, rng.normal(size=(6, 5)), 3, "explore", rng).steps
     rewards = rng.normal(size=6)
-    before = model.copy()
-    separate = model.copy()
+    before = copy.deepcopy(model)
+    separate = copy.deepcopy(model)
 
     critic_rows = []
     forward = nn.forward
@@ -336,7 +338,7 @@ def test_critic_update_returns_advantages_of_its_one_forward(monkeypatch):
     assert same_bits(model.critic_opt.m + model.critic_opt.v,
                      separate.critic_opt.m + separate.critic_opt.v)
     raw = advantages_for(before, steps, rewards, normalize=False)
-    assert same_bits(critic_update(before.copy(), steps, rewards, normalize=False)[1], raw)
+    assert same_bits(critic_update(copy.deepcopy(before), steps, rewards, normalize=False)[1], raw)
 
     # advantages_for reads the critic as it stands now, after the update
     after = advantages_for(model, steps, rewards, normalize=False)

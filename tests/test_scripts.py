@@ -1,7 +1,10 @@
-"""scripts/run_experiment.py runs end to end and fails cleanly without data."""
+"""scripts/run_experiment.py runs end to end, fails cleanly without data and
+writes what the CLI pipeline writes."""
 
 import importlib.util
 import os
+
+from measim.cli import main
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_experiment.py")
 
@@ -55,3 +58,27 @@ def test_run_experiment_checks_every_rate_before_any_work(tmp_path, capsys):
     assert "two coordinates" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_run_experiment_writes_the_cli_pipelines_bytes(tmp_path):
+    # gen-data, train-joint (pretraining at the preset's epochs) and a sweep of
+    # the proposed policy give what the script gives for the same data and seed
+    out = tmp_path / "exp"
+    sizes = ["--n-train", "64", "--n-test", "16", "--seed", "4"]
+    assert load_script().main(["--dataset", "sin-single", "--rates", "0.8", "--iterations",
+                               "3", "--n-seeds", "2", *sizes, "--out", str(out)]) == 0
+    data, run = tmp_path / "data", tmp_path / "run"
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text("iterations=3\n")
+    assert main(["gen-data", "--dataset", "sin-single", "--missing-rate", "0.8", *sizes,
+                 "--out", str(data)]) == 0
+    assert main(["train-joint", "--data", str(data / "train.csv"), "--config", str(cfg_path),
+                 "--missing-rate", "0.8", "--seed", "4", "--out", str(run)]) == 0
+    assert main(["sweep", "--run", str(run), "--data", str(data / "test.csv"), "--methods",
+                 "proposed", "--rates", "0.8", "--n-seeds", "2", "--seed", "4"]) == 0
+    for name in ("run.csv", "imputer.ckpt"):
+        assert (out / "full-0.8" / name).read_bytes() == (run / name).read_bytes(), name
+    script_rows = (out / "sweep.csv").read_text().splitlines()
+    cli_rows = (run / "sweep.csv").read_text().splitlines()
+    assert len(cli_rows) == 2 + 2
+    assert [r for r in script_rows if not r.startswith(("uninform", "explicit"))] == cli_rows

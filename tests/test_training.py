@@ -174,6 +174,11 @@ def test_config_parse_rejects_bad_boolean():
         parse_config("normalize_advantages=1\n")
 
 
+def test_config_parse_names_the_line_and_key_of_a_value_that_fails_to_parse():
+    with pytest.raises(ValueError, match=r"^line 2: iterations: invalid literal for int\(\)"):
+        parse_config("seed=1\niterations=abc\n")
+
+
 def test_config_parse_rejects_missing_separator():
     with pytest.raises(ValueError, match="key=value"):
         parse_config("seed 4\n")
