@@ -174,10 +174,13 @@ def build_config(args) -> JointConfig:
 
 
 def load_data(path, test: bool = False) -> MissingDataset:
-    """The missing-data CSV at path.  A missing file, or one without rows, is
+    """The missing-data CSV at path.  A missing, malformed or rowless file is
     a usage error naming it.  Training data is stripped of ground truth; test
     data must carry it."""
-    ds = load_missing_csv(existing(path))
+    try:
+        ds = load_missing_csv(existing(path))
+    except ValueError as e:
+        raise CliError(f"malformed data file {path}: {e}") from None
     if not len(ds):
         raise CliError(f"data file has no rows: {path}")
     if not test:

@@ -54,6 +54,30 @@ class Rollout:
         return len(self.steps)
 
 
+class RowDraws:
+    """The draws of rows `rows` of a batch of `batch` rows, for rolling a
+    slice of a batch as rollout_batch's rng.
+
+    random(size) draws uniforms for the whole batch, (batch, *size[1:]),
+    from rng and keeps the slice's rows, so a rollout of each slice of a
+    batch, stacked, equals the whole batch's rollout bit for bit: every op of
+    a step works row by row.
+    """
+
+    def __init__(self, rng: np.random.Generator, batch: int, rows: slice):
+        self._rng = rng
+        self._batch = batch
+        self._rows = rows
+
+    def random(self, size):
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        draws = self._rng.random((self._batch, *shape[1:]))[self._rows]
+        if draws.shape[0] != shape[0]:
+            raise ValueError(f"asked for {shape[0]} rows of draws, the slice holds "
+                             f"{draws.shape[0]}")
+        return draws
+
+
 def _roll(x_bar: np.ndarray, horizon: int, decide) -> Rollout:
     """The one per-step loop: reveal one coordinate per row per step.
 

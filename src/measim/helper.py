@@ -1,12 +1,16 @@
 """One helper per process, beside the main one, for work that can overlap.
 
-The joint loop sends it two requests per iteration, to roll the E2 set and
-to form its actor-gradient term (training.joint_train), and evaluation half
+The joint loop sends it up to three requests per iteration
+(training.joint_train).  The first rolls the E2 set.  The second forms
+phi_new, E2's reward and E2's actor-gradient term.  The third rolls half of
+E3's rows; a fine-tune round sends only this one.  Evaluation sends it half
 of its (seed, row block) tasks (evaluate.eval_policy).  The helper is
 started on first use (use()) and every later use in the process reuses it.
 That first use makes the one choice of how it runs: a forked process where
 core_for_helper() holds, else a stand-in that answers each request in this
-process.  Callers write one code path for both.  Forking
+process.  Callers write one code path for both; one that splits a batch
+between the two processes reads the helper's concurrent flag, since a split
+gains nothing where the stand-in computes each half in turn.  Forking
 gives the helper this process's loaded NumPy and BLAS, so it computes under
 the same numeric environment and its bits are the same as computing here.
 It sees this process only as it was at the fork, so a request names a
@@ -112,6 +116,9 @@ class Helper:
     failed send and an error reply stay counted).  close() stops it.
     """
 
+    # whether a reply is computed beside this process, not inside send()
+    concurrent = True
+
     def __init__(self, name: str):
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
@@ -156,6 +163,8 @@ class _InProcess:
     """The stand-in for a Helper where no core is free: send(fn, *args)
     computes the reply fn(*args) at once, here, and recv() returns the oldest
     one.  fn's exception is raised by send()."""
+
+    concurrent = False
 
     def __init__(self):
         self._replies = collections.deque()

@@ -33,6 +33,7 @@ import numpy as np
 from . import helper, nn, rngs
 from .episodes import (
     Rollout,
+    RowDraws,
     horizon_for,
     rollout_batch,
     terminal_rewards_batch,
@@ -370,40 +371,80 @@ def _adapt_round(policy: PolicyModel, imputer: ImputerModel, mv, mm, xbar,
     """The joint loop's E3 step and one fine-tune round: roll the policy
     stochastically with no records, take one adapt_step on the terminal
     states, and require both losses finite.  Returns (imputer, unsup, sup).
+
+    Where the process's helper computes beside this process (a forked
+    helper, helper.use) and the batch has two rows or more, the helper rolls
+    rows b//2: (_e3_rows) while this process rolls rows :b//2, and the two
+    terminal halves are stacked.  Each half draws the whole batch's uniforms
+    and keeps its own rows, so the bits are those of rolling the whole batch
+    here, as the in-process stand-in does.
     """
-    roll = rollout_batch(policy, xbar, horizon, "stochastic", roll_rng, grad=False)
-    imputer, losses = adapt_step(imputer, mv, mm, roll.terminal_values, roll.terminal_masks,
-                                 xbar, cfg.alpha, cfg.alpha_prime, cfg.loss_config(),
+    b = len(xbar)
+    with helper.use() as side:
+        if side.concurrent and b >= 2:
+            side.send(_e3_rows, policy.actor, policy.critic, xbar, horizon, roll_rng,
+                      slice(b // 2, b))
+            mine = _e3_rows(policy.actor, policy.critic, xbar, horizon, roll_rng,
+                            slice(0, b // 2))
+            values, masks = (np.concatenate(halves) for halves in zip(mine, side.recv()))
+        else:
+            roll = rollout_batch(policy, xbar, horizon, "stochastic", roll_rng, grad=False)
+            values, masks = roll.terminal_values, roll.terminal_masks
+    imputer, losses = adapt_step(imputer, mv, mm, values, masks, xbar,
+                                 cfg.alpha, cfg.alpha_prime, cfg.loss_config(),
                                  rng_unsup, rng_sup)
     unsup, sup = losses["unsupervised"], losses["supervised"]
     _require_finite([unsup, sup], "loss", iteration)
     return imputer, unsup, sup
 
 
-# the E2 set _e2_roll rolled and _e2_term has not spent yet, with the policy
-# that rolled it, in the process that runs the requests
-_e2: tuple[PolicyModel, Rollout] | None = None
+def _e3_rows(actor: nn.DenseNet, critic: nn.DenseNet, xbar, horizon: int, rng,
+             rows: slice):
+    """Roll rows `rows` of an E3 set under the nets sent, with no records,
+    drawing the whole batch's uniforms from rng (RowDraws); return their
+    terminal state."""
+    roll = rollout_batch(PolicyModel(actor, critic, None), xbar[rows], horizon,
+                         "stochastic", RowDraws(rng, len(xbar), rows), grad=False)
+    return roll.terminal_values, roll.terminal_masks
 
 
-def _e2_roll(actor: nn.DenseNet, critic: nn.DenseNet, xbar, horizon: int, seed: int, i: int):
-    """Roll iteration i's E2 set under the nets sent, keep it for _e2_term
-    and return its terminal state."""
+# what _e2_roll keeps for _e2_term in the process that runs the requests:
+# the E2 set with the policy that rolled it, and what phi_new is formed from
+_e2: tuple | None = None
+
+
+def _e2_roll(actor: nn.DenseNet, critic: nn.DenseNet, imputer: ImputerModel, mv, mm,
+             xbar, horizon: int, cfg: JointConfig, i: int) -> None:
+    """Roll iteration i's E2 set under the nets sent, and keep it with the
+    imputer and minibatch for _e2_term."""
     global _e2
     # no critic optimizer: the E2 term reads the critic and never fits it
     policy = PolicyModel(actor, critic, None)
     roll = rollout_batch(policy, xbar, horizon, "stochastic",
-                         rngs.substream(seed, rngs.EPISODE_2, i))
-    _e2 = policy, roll
-    return roll.terminal_values, roll.terminal_masks
+                         rngs.substream(cfg.seed, rngs.EPISODE_2, i))
+    _e2 = policy, roll, imputer, mv, mm, cfg, i
 
 
-def _e2_term(rewards, normalize: bool):
-    """The kept E2 set's actor-gradient term, with advantages from
-    advantages_for; the set is spent, released before the next rollout."""
+def _e2_term(e1_values, e1_masks):
+    """The kept E2 set's rewards and actor-gradient term, (grads, rewards);
+    what _e2_roll kept is spent, released before the next rollout.
+
+    The hypothetical imputer phi_new is one adapt_step from the kept imputer
+    on E1's terminal state.  E2 is rewarded against it, the rewards must be
+    finite, and advantages_for gives the advantages.  phi_new is then
+    discarded: the real imputer is never touched.
+    """
     global _e2
-    (policy, roll), _e2 = _e2, None
-    adv = advantages_for(policy, roll.steps, rewards, normalize)
-    return actor_gradient(policy, roll.steps, adv)
+    (policy, roll, imputer, mv, mm, cfg, i), _e2 = _e2, None
+    phi_new, _ = adapt_step(imputer, mv, mm, e1_values, e1_masks, roll.x_bar,
+                            cfg.alpha, cfg.alpha_prime, cfg.loss_config(),
+                            rngs.substream(cfg.seed, rngs.ADAPT_META, i, 0),
+                            rngs.substream(cfg.seed, rngs.ADAPT_META, i, 1))
+    rewards = terminal_rewards_batch(phi_new, roll, cfg.k_reward,
+                                     rngs.substream(cfg.seed, rngs.REWARD_2, i))
+    _require_finite(rewards, "reward", i)
+    adv = advantages_for(policy, roll.steps, rewards, cfg.normalize_advantages)
+    return actor_gradient(policy, roll.steps, adv), rewards
 
 
 def pretrain_imputer(cfg: JointConfig, dataset: MissingDataset) -> tuple[ImputerModel, list[float]]:
@@ -443,18 +484,21 @@ def joint_train(
     returned, checksummed and saved.
 
     With an E2 set (ablation "full" and at least one iteration), two
-    requests per iteration go to the process's helper (helper.use): _e2_roll
-    carries the pre-update actor and critic and rolls the E2 set, _e2_term
-    carries its rewards and forms its actor-gradient term.  Where a CPU core
-    was free when the helper started (helper.core_for_helper: the BLAS
-    computes with one thread, two CPUs are usable and the platform can fork)
-    the helper is a forked process, sent copies of the nets, that computes
-    both while this process rolls and rewards E1, forms phi_new, rewards E2
-    and fits the critic.  Otherwise each request runs here on the live nets
-    as it is sent: E2 rolls before E1, and its term is formed before the
-    critic fit and the actor step.  Every draw is keyed by its substream and
-    the forked process computes under the same numeric environment, so every
-    output bit is the same either way.
+    requests per iteration go to the process's helper (helper.use).  _e2_roll
+    carries the pre-update actor and critic, the current imputer and the
+    minibatch, and rolls the E2 set.  _e2_term, sent right after E1 rolls,
+    carries E1's terminal state: it forms phi_new, rewards E2 against it and
+    forms E2's actor-gradient term.  Where a CPU core was free when the
+    helper started (helper.core_for_helper: the BLAS computes with one
+    thread, two CPUs are usable and the platform can fork) the helper is a
+    forked process, sent copies of the models, that computes both while this
+    process rolls and rewards E1, fits the critic and forms E1's term; it
+    then rolls half of E3's rows beside this process (_adapt_round).
+    Otherwise each request runs here on the live models as it is sent: E2
+    rolls before E1, its term is formed before E1's reward, the critic fit
+    and the actor step, and E3 rolls whole.  Every draw is keyed by its
+    substream and the forked process computes under the same numeric
+    environment, so every output bit is the same either way.
 
     A run that adapts the imputer (JointConfig.adapts_imputer) on data where
     no row observes two coordinates is refused with ValueError before
@@ -493,9 +537,10 @@ def joint_train(
     last_roll: Rollout | None = None
     last_rewards: np.ndarray | None = None
 
-    # the E2 set (ablation "full" only) reads nothing E1 produces except its
-    # reward model, so its rollout and actor term go to the helper, which
-    # computes them beside E1 where a core is free
+    # the E2 set (ablation "full" only) rolls on x-bar under the pre-update
+    # nets and is rewarded from E1's terminal state, so its rollout, phi_new,
+    # its reward and its actor term go to the helper, which computes them
+    # beside E1 where a core is free
     has_e2 = cfg.ablation == "full" and cfg.iterations > 0
     with helper.use() if has_e2 else contextlib.nullcontext() as e2:
         for i in range(cfg.iterations):
@@ -506,31 +551,21 @@ def joint_train(
             # (1) one generated complete vector per missing example
             xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
             if e2 is not None:
-                e2.send(_e2_roll, policy.actor, policy.critic, xbar, horizon, seed, i)
+                e2.send(_e2_roll, policy.actor, policy.critic, imputer, mv, mm, xbar,
+                        horizon, cfg, i)
 
-            # (2) exploration episodes, rewarded by the current imputer
+            # (2) exploration episodes
             roll1 = rollout_batch(policy, xbar, horizon, "explore",
                                   rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
+            if e2 is not None:
+                # (3)-(4) the hypothetical adaptation phi_new from E1's
+                # terminals, and E2's reward against it; the real imputer is
+                # untouched
+                e2.send(_e2_term, roll1.terminal_values, roll1.terminal_masks)
+            # E1 is rewarded by the current imputer
             r1 = terminal_rewards_batch(imputer, roll1, cfg.k_reward,
                                         rngs.substream(seed, rngs.REWARD_1, i))
             _require_finite(r1, "reward", i)
-
-            r2 = None
-            if e2 is not None:
-                # (3) hypothetical adaptation; the real imputer is untouched
-                phi_new, _ = adapt_step(imputer, mv, mm,
-                                        roll1.terminal_values, roll1.terminal_masks, xbar,
-                                        cfg.alpha, cfg.alpha_prime, cfg.loss_config(),
-                                        rngs.substream(seed, rngs.ADAPT_META, i, 0),
-                                        rngs.substream(seed, rngs.ADAPT_META, i, 1))
-                # (4) unflattened episodes, rewarded by the adapted imputer
-                terminal_values, terminal_masks = e2.recv()
-                roll2 = Rollout(x_bar=xbar, terminal_values=terminal_values,
-                                terminal_masks=terminal_masks)
-                r2 = terminal_rewards_batch(phi_new, roll2, cfg.k_reward,
-                                            rngs.substream(seed, rngs.REWARD_2, i))
-                _require_finite(r2, "reward", i)
-                e2.send(_e2_term, r2, cfg.normalize_advantages)
 
             # (5) two-term actor step; advantages use the critic before its
             # update, for the E2 term too, and the fit returns E1's
@@ -538,8 +573,11 @@ def joint_train(
                                               cfg.normalize_advantages)
             _require_finite(critic_loss, "loss", i)
             terms = [(cfg.beta, actor_gradient(policy, roll1.steps, adv1))]
+            r2 = None
             if e2 is not None:
-                terms.append((cfg.beta_prime, e2.recv()))
+                e2.recv()   # _e2_roll's reply, None
+                grads2, r2 = e2.recv()
+                terms.append((cfg.beta_prime, grads2))
             # p -= weight * g per term; zero-weight terms are skipped outright
             # so they cannot perturb bits
             for weight, grads in terms:

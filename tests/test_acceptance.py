@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from measim import nn, rngs, training
+from measim import helper, nn, rngs, training
 from measim.data import MNIST_STEMS, find_mnist_file, gen_sinusoid_dataset, mnist12_dataset
 from measim.episodes import ExplicitSelector, UniformSelector, rollout_batch, topk_rmse
 from measim.evaluate import eval_policy
@@ -520,6 +520,9 @@ def test_11_reduction_to_plain_reinforce(monkeypatch):
             return bad, {"unsupervised": 0.0, "supervised": 0.0}
         return real_adapt(model, *args, **kwargs)
 
+    # E2's requests run in this process, so both adapt_step calls are seen
+    monkeypatch.setattr(helper, "core_for_helper", lambda: False)
+    helper.stop()
     monkeypatch.setattr(training, "adapt_step", poisoned)
     stub_pol, stub_imp, _ = joint_train(meta_cfg, ds, imputer=pre)
     monkeypatch.setattr(training, "adapt_step", real_adapt)

@@ -268,6 +268,29 @@ def test_data_file_without_rows_is_usage_error_naming_it(tmp_path, run_dir, caps
     assert sorted(p.name for p in run_dir.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["pretrain", "eval"])
+@pytest.mark.parametrize("content, reason", [
+    ("v0,m0\n1.0,2\n", "mask 2.0 is not 0 or 1"),
+    ("", "empty file: no header row"),
+], ids=["bad-mask", "zero-bytes"])
+def test_malformed_data_file_is_usage_error_naming_it(tmp_path, run_dir, capsys,
+                                                      command, content, reason):
+    data = tmp_path / "bad.csv"
+    data.write_text(content)
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(), cfg_path)
+    out = tmp_path / "out"
+    argv = {"pretrain": ["--config", str(cfg_path)], "eval": ["--run", str(run_dir)]}[command]
+    before = sorted(p.name for p in run_dir.iterdir())
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed data file {data}" in err
+    assert reason in err
+    assert not out.exists()
+    assert sorted(p.name for p in run_dir.iterdir()) == before
+
+
 def test_train_joint_run_directory(run_dir):
     for name in ("config.txt", "run.csv", "actor.ckpt", "critic.ckpt", "imputer.ckpt"):
         assert (run_dir / name).exists(), name

@@ -339,7 +339,9 @@ def test_full_loop_with_zero_imputer_rates_equals_plain_reinforce():
 
 def test_hypothetical_update_never_leaks(monkeypatch):
     # stubbing the meta adaptation to hand back the same model must leave the
-    # final parameters untouched whenever the meta gradient weight is zero
+    # final parameters untouched whenever the meta gradient weight is zero;
+    # E2's requests run in this process, so both adapt_step calls are counted
+    e2_in_helper(monkeypatch, False)
     ds = tiny_dataset()
     cfg = tiny_config(beta_prime=0.0)
     pre = pretrained_imputer(cfg, ds)
@@ -378,6 +380,8 @@ def test_rewards_are_recorded_and_finite():
 
 
 def test_non_finite_reward_aborts_with_iteration(monkeypatch):
+    # E2's requests run in this process, so both reward batches are counted
+    e2_in_helper(monkeypatch, False)
     ds = tiny_dataset()
     cfg = tiny_config()
     pre = pretrained_imputer(cfg, ds)
@@ -387,7 +391,7 @@ def test_non_finite_reward_aborts_with_iteration(monkeypatch):
     def poisoned(*args, **kwargs):
         out = real(*args, **kwargs)
         state["i"] += 1
-        if state["i"] == 5:  # third iteration's first reward batch
+        if state["i"] == 5:  # third iteration's first reward batch, E2's
             out = out.copy()
             out[0] = np.nan
         return out
@@ -464,8 +468,8 @@ def test_joint_loop_refuses_to_adapt_without_a_row_observing_two(tmp_path, overr
 
 
 def e2_in_helper(monkeypatch, on: bool) -> None:
-    """Run the joint loop's E2 requests in a helper process, or in this one: the
-    next use of the helper starts one as asked."""
+    """Run the joint loop's helper requests (E2's, and E3's rows) in a helper
+    process, or in this one: the next use of the helper starts one as asked."""
     monkeypatch.setattr(helper, "core_for_helper", lambda: on)
     helper.stop()
 
@@ -491,10 +495,10 @@ def track_rollouts(monkeypatch):
 
 def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
     # with E2 in this process it rolls first, when its request is sent, and
-    # lives until its actor term is formed; E1 lives until the actor step, E3
-    # until the imputer update, and no rollout outlives its iteration; only
-    # E1 and E2 take a gradient, so E3 and fine-tune steps keep no state and
-    # no tape
+    # lives until its term is formed, right after E1 rolls; E1 lives until
+    # the actor step, E3 (rolled whole here) until the imputer update, and no
+    # rollout outlives its iteration; only E1 and E2 take a gradient, so E3
+    # and fine-tune steps keep no state and no tape
     e2_in_helper(monkeypatch, False)
     alive, held, kept = track_rollouts(monkeypatch)
     ds = tiny_dataset()
@@ -510,10 +514,11 @@ def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
 
 
 def test_joint_loop_holds_at_most_one_rollout(monkeypatch):
-    # the main process holds E1 until the actor step, then E3 until the imputer
-    # update, and no rollout outlives its iteration; E2 rolls in the helper
-    # process, out of sight here.  Only E1 takes a gradient in the main
-    # process, so E3 and fine-tune steps keep no state and no tape
+    # the main process holds E1 until the actor step, then its half of E3's
+    # rows until the imputer update, and no rollout outlives its iteration;
+    # E2 and the other half of E3 roll in the helper process, out of sight
+    # here.  Only E1 takes a gradient in the main process, so E3 and
+    # fine-tune steps keep no state and no tape
     e2_in_helper(monkeypatch, True)
     alive, held, kept = track_rollouts(monkeypatch)
     ds = tiny_dataset()
@@ -529,14 +534,22 @@ def test_joint_loop_holds_at_most_one_rollout(monkeypatch):
 
 
 def serial_joint_train(cfg, ds, imputer):
-    """The full joint loop with E2 rolled in this process, in the loop's order."""
+    """The joint loop with every rollout rolled whole in this process, in the
+    loop's order, and the fine-tune after a frozen-imputer run."""
     n, d = len(ds), ds.dim
     horizon = horizon_for(d, cfg.missing_rate)
     loss_cfg, seed = cfg.loss_config(), cfg.seed
+    meta, adapt = cfg.ablation == "full", cfg.ablation != "no_adaptation"
     imputer = imputer.copy()
     policy = build_policy(d, actor_hidden=cfg.actor_hidden, critic_hidden=cfg.critic_hidden,
                           dropout=cfg.dropout, critic_lr=cfg.critic_lr,
                           rng=rngs.substream(seed, rngs.INIT_POLICY))
+
+    def adapt_round(imputer, mv, mm, xbar, roll_rng, rng_unsup, rng_sup):
+        roll3 = rollout_batch(policy, xbar, horizon, "stochastic", roll_rng, grad=False)
+        return adapt_step(imputer, mv, mm, roll3.terminal_values, roll3.terminal_masks,
+                          xbar, cfg.alpha, cfg.alpha_prime, loss_cfg, rng_unsup, rng_sup)
+
     record = RunRecord(config=cfg)
     for i in range(cfg.iterations):
         idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
@@ -546,56 +559,83 @@ def serial_joint_train(cfg, ds, imputer):
                               rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
         r1 = terminal_rewards_batch(imputer, roll1, cfg.k_reward,
                                     rngs.substream(seed, rngs.REWARD_1, i))
-        phi_new, _ = adapt_step(imputer, mv, mm, roll1.terminal_values, roll1.terminal_masks,
-                                xbar, cfg.alpha, cfg.alpha_prime, loss_cfg,
-                                rngs.substream(seed, rngs.ADAPT_META, i, 0),
-                                rngs.substream(seed, rngs.ADAPT_META, i, 1))
-        roll2 = rollout_batch(policy, xbar, horizon, "stochastic",
-                              rngs.substream(seed, rngs.EPISODE_2, i))
-        r2 = terminal_rewards_batch(phi_new, roll2, cfg.k_reward,
-                                    rngs.substream(seed, rngs.REWARD_2, i))
         adv1 = advantages_for(policy, roll1.steps, r1, cfg.normalize_advantages)
         g1 = actor_gradient(policy, roll1.steps, adv1)
-        adv2 = advantages_for(policy, roll2.steps, r2, cfg.normalize_advantages)
-        g2 = actor_gradient(policy, roll2.steps, adv2)
+        r2 = np.nan
+        if meta:
+            phi_new, _ = adapt_step(imputer, mv, mm, roll1.terminal_values,
+                                    roll1.terminal_masks, xbar, cfg.alpha, cfg.alpha_prime,
+                                    loss_cfg, rngs.substream(seed, rngs.ADAPT_META, i, 0),
+                                    rngs.substream(seed, rngs.ADAPT_META, i, 1))
+            roll2 = rollout_batch(policy, xbar, horizon, "stochastic",
+                                  rngs.substream(seed, rngs.EPISODE_2, i))
+            r2 = terminal_rewards_batch(phi_new, roll2, cfg.k_reward,
+                                        rngs.substream(seed, rngs.REWARD_2, i))
+            adv2 = advantages_for(policy, roll2.steps, r2, cfg.normalize_advantages)
+            g2 = actor_gradient(policy, roll2.steps, adv2)
         critic_loss, _ = critic_update(policy, roll1.steps, r1, cfg.normalize_advantages)
         policy.actor.step(g1, OptimizerState(kind="sgd", lr=cfg.beta))
-        policy.actor.step(g2, OptimizerState(kind="sgd", lr=cfg.beta_prime))
-        roll3 = rollout_batch(policy, xbar, horizon, "stochastic",
-                              rngs.substream(seed, rngs.EPISODE_3, i), grad=False)
-        imputer, losses = adapt_step(imputer, mv, mm, roll3.terminal_values,
-                                     roll3.terminal_masks, xbar, cfg.alpha, cfg.alpha_prime,
-                                     loss_cfg, rngs.substream(seed, rngs.ADAPT_REAL, i, 0),
-                                     rngs.substream(seed, rngs.ADAPT_REAL, i, 1))
+        if meta:
+            policy.actor.step(g2, OptimizerState(kind="sgd", lr=cfg.beta_prime))
+        losses = {"unsupervised": np.nan, "supervised": np.nan}
+        if adapt:
+            imputer, losses = adapt_round(imputer, mv, mm, xbar,
+                                          rngs.substream(seed, rngs.EPISODE_3, i),
+                                          rngs.substream(seed, rngs.ADAPT_REAL, i, 0),
+                                          rngs.substream(seed, rngs.ADAPT_REAL, i, 1))
         record.stats.append(IterationStats(i, float(np.mean(r1)), float(np.mean(r2)),
                                            critic_loss, losses["unsupervised"],
                                            losses["supervised"]))
+    for i in range(0 if adapt else cfg.finetune_iterations):
+        idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.FINETUNE, i, 0))
+        mv, mm = ds.values[idx], ds.masks[idx]
+        xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.FINETUNE, i, 1))
+        imputer, _ = adapt_round(imputer, mv, mm, xbar,
+                                 *(rngs.substream(seed, rngs.FINETUNE, i, j) for j in (2, 3, 4)))
     record.checksums = {"actor": params_checksum(policy.actor),
                         "critic": params_checksum(policy.critic),
                         "imputer": params_checksum(imputer.net)}
     return record
 
 
-def check_against_serial_reference(variant):
+def check_against_serial_reference(variant, overrides):
     ds = tiny_dataset()
     if variant == "image":
         ds = MissingDataset(1.0 / (1.0 + np.exp(-ds.values)) * ds.masks, ds.masks)
-    cfg = tiny_config(variant=variant, smoothness_weight=0.0 if variant == "image" else 0.05)
+    cfg = tiny_config(variant=variant, smoothness_weight=0.0 if variant == "image" else 0.05,
+                      **overrides)
     pre = pretrained_imputer(cfg, ds)
-    _, _, record = joint_train(cfg, ds, imputer=pre)
+    _, imputer, record = joint_train(cfg, ds, imputer=pre)
     reference = serial_joint_train(cfg, ds, pre)
-    assert record.stats == reference.stats
+    # NaN != NaN: compare the rows as text, as run.csv writes them
+    assert [repr(s) for s in record.stats] == [repr(s) for s in reference.stats]
     assert record.checksums == reference.checksums
-    assert all(np.isfinite(s.reward_e2) for s in record.stats)
+    assert all(np.isfinite(s.reward_e2) == (cfg.ablation == "full") for s in record.stats)
+    if cfg.ablation == "no_adaptation":
+        assert record.checksums["imputer"] != params_checksum(pre.net)
 
 
-@pytest.mark.parametrize("variant", ["sinusoid", "image"])
-def test_helper_loop_matches_serial_reference(monkeypatch, variant):
+# the full loop on both imputer variants, and the loop without an E2 set and
+# the fine-tune after a frozen-imputer run, each of which rolls E3
+SERIAL_CASES = [
+    ("sinusoid", {}),
+    ("image", {}),
+    ("sinusoid", dict(ablation="no_meta", beta_prime=0.0)),
+    ("image", dict(ablation="no_meta", beta_prime=0.0)),
+    ("sinusoid", dict(ablation="no_adaptation", beta_prime=0.0, finetune_iterations=3)),
+    ("image", dict(ablation="no_adaptation", beta_prime=0.0, finetune_iterations=3)),
+]
+SERIAL_IDS = ["sinusoid", "image", "no_meta-sinusoid", "no_meta-image",
+              "no_adaptation-sinusoid", "no_adaptation-image"]
+
+
+@pytest.mark.parametrize("variant, overrides", SERIAL_CASES, ids=SERIAL_IDS)
+def test_helper_loop_matches_serial_reference(monkeypatch, variant, overrides):
     e2_in_helper(monkeypatch, True)
     started = []
     real = helper.Helper
     monkeypatch.setattr(helper, "Helper", lambda name: started.append(name) or real(name))
-    check_against_serial_reference(variant)
+    check_against_serial_reference(variant, overrides)
     # one named helper is alive, the next call reuses it, and stop() ends it
     [proc] = multiprocessing.active_children()
     assert proc.name == helper.NAME and proc.is_alive()
@@ -608,14 +648,33 @@ def test_helper_loop_matches_serial_reference(monkeypatch, variant):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("variant", ["sinusoid", "image"])
-def test_e2_in_process_matches_serial_reference(monkeypatch, variant):
+@pytest.mark.parametrize("variant, overrides", SERIAL_CASES, ids=SERIAL_IDS)
+def test_e2_in_process_matches_serial_reference(monkeypatch, variant, overrides):
     def refuse(*args, **kwargs):
         raise AssertionError("helper process started")
 
     e2_in_helper(monkeypatch, False)
     monkeypatch.setattr(helper, "Helper", refuse)
-    check_against_serial_reference(variant)
+    check_against_serial_reference(variant, overrides)
+
+
+@pytest.mark.parametrize("batch", [2, 3, 64])
+@pytest.mark.parametrize("d, horizon", [(100, 20), (144, 22)], ids=["sin80", "img85"])
+def test_e3_row_halves_stack_to_the_whole_rollout(batch, d, horizon):
+    # each half draws the whole batch's uniforms and keeps its own rows, and
+    # every op of a step works row by row, so the halves join bit for bit
+    policy = build_policy(d, rng=np.random.default_rng(1))
+    xbar = np.random.default_rng(2).normal(size=(batch, d))
+    whole = rollout_batch(policy, xbar, horizon, "stochastic", np.random.default_rng(3),
+                          grad=False)
+    cut = batch // 2
+    halves = [training._e3_rows(policy.actor, policy.critic, xbar, horizon,
+                                np.random.default_rng(3), rows)
+              for rows in (slice(0, cut), slice(cut, batch))]
+    values, masks = (np.concatenate(pair) for pair in zip(*halves))
+    assert np.array_equal(values, whole.terminal_values)
+    assert np.array_equal(masks, whole.terminal_masks)
+    assert masks.sum(axis=1).tolist() == [horizon] * batch
 
 
 # each env: the thread count the BLAS itself reports, and thread variables
@@ -698,7 +757,7 @@ def test_interrupt_leaves_no_process(monkeypatch):
 
     def interrupted(*args, **kwargs):
         calls["n"] += 1
-        if calls["n"] == 3:   # the second iteration's E1 reward, with E2 under way
+        if calls["n"] == 2:   # the second iteration's E1 reward, with E2 under way
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
@@ -710,20 +769,49 @@ def test_interrupt_leaves_no_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(ablation="no_meta", beta_prime=0.0),
-    dict(ablation="no_adaptation", beta_prime=0.0),
-    dict(iterations=0),
-])
-def test_no_helper_without_an_e2_set(monkeypatch, overrides):
-    def refuse(*args, **kwargs):
-        raise AssertionError("helper process started")
-
+def test_non_finite_e2_reward_in_the_helper_aborts_with_iteration(monkeypatch):
+    # E2's reward is formed and checked in the forked helper, whose error
+    # reaches this process with its own type and stops the helper
     e2_in_helper(monkeypatch, True)
-    monkeypatch.setattr(helper, "Helper", refuse)
+    real = training.terminal_rewards_batch
+    main_pid = os.getpid()
+    calls = 0
+
+    def poisoned(*args, **kwargs):
+        nonlocal calls
+        out = real(*args, **kwargs)
+        if os.getpid() != main_pid:
+            calls += 1
+            if calls == 2:  # the helper's second reward batch: iteration 1's E2
+                out = np.full_like(out, np.nan)
+        return out
+
+    monkeypatch.setattr(training, "terminal_rewards_batch", poisoned)
+    ds = tiny_dataset()
+    cfg = tiny_config(iterations=3)
+    with pytest.raises(FloatingPointError, match="non-finite reward at iteration 1"):
+        joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert calls == 0   # counted in the helper alone
+    assert multiprocessing.active_children() == []
+
+
+# E2 goes to the helper, and so does half of every E3 set and fine-tune
+# rollout; a run with none of these starts no helper
+@pytest.mark.parametrize("overrides, starts", [
+    (dict(ablation="no_meta", beta_prime=0.0), True),
+    (dict(ablation="no_adaptation", beta_prime=0.0), True),
+    (dict(ablation="no_adaptation", beta_prime=0.0, finetune_iterations=0), False),
+    (dict(iterations=0), False),
+], ids=["no_meta", "finetune", "no_finetune", "no_iterations"])
+def test_helper_starts_only_for_e2_or_e3_rows(monkeypatch, overrides, starts):
+    started = []
+    real = helper.Helper
+    e2_in_helper(monkeypatch, True)
+    monkeypatch.setattr(helper, "Helper", lambda name: started.append(name) or real(name))
     ds = tiny_dataset()
     cfg = tiny_config(**overrides)
     joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert started == ([helper.NAME] if starts else [])
 
 
 # ---------------------------------------------------------------------------
