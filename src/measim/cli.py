@@ -1,7 +1,7 @@
 """Command-line surface: data generation, training, evaluation, sweeps.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing input files),
-2 runtime failure (training/evaluation raised).
+Exit codes: 0 success, 1 usage error (bad flags, missing or malformed input
+files), 2 runtime failure (training/evaluation raised).
 """
 
 from __future__ import annotations
@@ -141,13 +141,28 @@ def existing(path, kind: str = "file"):
     return path
 
 
+def read(load, what: str, *paths, kind: str = "file"):
+    """load(*paths) on files that exist.  A missing file is a usage error
+    naming it, and so is a malformed one (load raises ValueError), named
+    with what was read."""
+    for path in paths:
+        existing(path, kind)
+    try:
+        return load(*paths)
+    except ValueError as e:
+        raise CliError(f"{what} {' or '.join(map(str, paths))}: {e}") from None
+
+
 def read_config(path) -> JointConfig:
     """The config file at path; a missing or malformed one is a usage error
     naming the file."""
-    try:
-        return load_config(existing(path))
-    except ValueError as e:
-        raise CliError(f"bad config {path}: {e}") from e
+    return read(load_config, "bad config", path)
+
+
+def read_imputer(path):
+    """The imputer checkpoint at path; a missing, malformed or wrong-role one
+    is a usage error naming the file."""
+    return read(load_imputer, "bad checkpoint", path, kind="checkpoint")
 
 
 def build_config(args) -> JointConfig:
@@ -177,10 +192,7 @@ def load_data(path, test: bool = False) -> MissingDataset:
     """The missing-data CSV at path.  A missing, malformed or rowless file is
     a usage error naming it.  Training data is stripped of ground truth; test
     data must carry it."""
-    try:
-        ds = load_missing_csv(existing(path))
-    except ValueError as e:
-        raise CliError(f"malformed data file {path}: {e}") from None
+    ds = read(load_missing_csv, "malformed data file", path)
     if not len(ds):
         raise CliError(f"data file has no rows: {path}")
     if not test:
@@ -242,8 +254,9 @@ def subject_for(method: str, policy, imputer, explicit_k: int):
 
 def require_recorded_checksums(paths, policy, imputer) -> None:
     """The run's checkpoints have the parameter checksums its run.csv
-    records; a swapped checkpoint is a usage error naming the file."""
-    _, meta = load_run_csv(paths["run"])
+    records; a swapped checkpoint, or a malformed run.csv, is a usage error
+    naming the file."""
+    _, meta = read(load_run_csv, "bad run log", paths["run"])
     recorded = meta.get("checksums", {})
     for name, net in (("actor", policy.actor), ("critic", policy.critic),
                       ("imputer", imputer.net)):
@@ -255,13 +268,15 @@ def require_recorded_checksums(paths, policy, imputer) -> None:
 def _load_run(args):
     """The --run directory's config, policy and imputer, and the --data test
     set, checked to share one width, to be the checkpoints run.csv records
-    and to carry ground truth."""
+    and to carry ground truth.  A malformed or wrong-role policy checkpoint
+    is a usage error naming both of the policy's files."""
     paths = {f.partition(".")[0]: existing(os.path.join(args.run, f),
                                            "checkpoint" if f.endswith(".ckpt") else "file")
              for f in ("config.txt", "run.csv", "actor.ckpt", "critic.ckpt", "imputer.ckpt")}
     cfg = read_config(paths["config"])
-    policy = load_policy(paths["actor"], paths["critic"])
-    imputer = load_imputer(paths["imputer"])
+    policy = read(load_policy, "bad checkpoint", paths["actor"], paths["critic"],
+                  kind="checkpoint")
+    imputer = read_imputer(paths["imputer"])
     ds = load_data(args.data, test=True)
     require_same_width(("policy", paths["actor"], policy.d),
                        ("imputer", paths["imputer"], imputer.d),
@@ -327,7 +342,7 @@ def cmd_train_joint(args) -> int:
     ds = load_data(args.data)
     imputer = None
     if args.imputer:
-        imputer = load_imputer(existing(args.imputer, "checkpoint"))
+        imputer = read_imputer(args.imputer)
         require_same_width(("imputer", args.imputer, imputer.d),
                            ("data", args.data, ds.dim))
     require_matching_rate(cfg, ds, args.data)
@@ -376,7 +391,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_baseline(args) -> int:
     check_explicit_k([args.method], args.explicit_k)
-    imputer = load_imputer(existing(args.imputer, "checkpoint"))
+    imputer = read_imputer(args.imputer)
     ds = load_data(args.data, test=True)
     require_same_width(("imputer", args.imputer, imputer.d), ("data", args.data, ds.dim))
     subject = subject_for(args.method, None, imputer, args.explicit_k)

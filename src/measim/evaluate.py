@@ -10,6 +10,7 @@ the minimum over all k draws the top-k error.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -97,12 +98,13 @@ def row_blocks(n: int) -> list[slice]:
 
 
 def _run_task(subject, imputer: ImputerModel, truth: np.ndarray, blocks: list[slice],
-              horizon: int, k: int, seed: int, eval_mode: str,
-              s: int, j: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Task (s, j): roll block j from substream (seed, EVAL, s, 0, j), impute
-    its terminal states k times from (seed, EVAL, s, 1, j), and return the
-    per-row top-1 and top-k errors and the task's time.  The rollout and
-    draws are released on return, before the next task's."""
+              k: int, seed: int, eval_mode: str, horizon: int, s: int,
+              j: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Task (horizon, s, j): roll block j for horizon steps from substream
+    (seed, EVAL, s, 0, j), impute its terminal states k times from (seed,
+    EVAL, s, 1, j), and return the per-row top-1 and top-k errors and the
+    task's time.  The rollout and draws are released on return, before the
+    next task's."""
     start = time.perf_counter()
     rows = truth[blocks[j]]
     rng_ep = rngs.substream(seed, rngs.EVAL, s, 0, j)
@@ -115,9 +117,9 @@ def _run_task(subject, imputer: ImputerModel, truth: np.ndarray, blocks: list[sl
     return topk_rmse(cands[:1], rows), topk_rmse(cands, rows), time.perf_counter() - start
 
 
-def _run_tasks(work: tuple, tasks: list[tuple[int, int]]) -> list:
-    """_run_task(*work, s, j) for each task (s, j), in order."""
-    return [_run_task(*work, s, j) for s, j in tasks]
+def _run_tasks(work: tuple, tasks: list[tuple[int, int, int]], part: slice) -> list:
+    """_run_task(*work, *task) for each task of tasks[part], in order."""
+    return [_run_task(*work, *task) for task in tasks[part]]
 
 
 def eval_policy(
@@ -132,66 +134,11 @@ def eval_policy(
     method: str | None = None,
     trained_rate: float = float("nan"),
 ) -> EvalReport:
-    """Measure-then-impute error of a policy or selector baseline, per seed.
-
-    subject is either a PolicyModel (rolled greedily by default) or a
-    selector callable (values, masks, rng) -> actions.
-
-    The work is a list of (seed s, row block j) tasks in that order, the
-    blocks from row_blocks, each run by _run_task from its own substreams,
-    so each task's bits depend on nothing but its key.  A seed's errors are
-    means over its rows, the blocks taken in row order, and its
-    EvalRow.wall_time is the sum of its task times.
-
-    With two tasks or more, the process's helper (helper.use) runs the odd
-    tasks and this process the even ones.  The request carries the subject,
-    the imputer and the truth rows, so a subject of a forked helper must
-    pickle.  Where helper.core_for_helper() held when the helper started it
-    is a forked process that runs them beside this one, and per-row errors
-    and task times come back over the pipe; otherwise it runs them here,
-    before the even ones.  The forked process computes under the same
-    numeric environment, so the report is bit-identical either way.  Either
-    way a process holds one block's rollout and draws at a time.
-    """
-    if eval_mode not in EVAL_MODES:
-        raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {eval_mode!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    truth = _ground_truth(dataset)
-    n, d = truth.shape
-    if n == 0:
-        raise ValueError("evaluation needs at least one row")
-    if method is None:
-        method = method_name(subject)
-    blocks = row_blocks(n)
-    work = (subject, imputer, truth, blocks, horizon_for(d, missing_rate), k, seed, eval_mode)
-
-    tasks = [(s, j) for s in range(n_seeds) for j in range(len(blocks))]
-    if len(tasks) < 2:
-        results = _run_tasks(work, tasks)
-    else:
-        results = [None] * len(tasks)
-        with helper.use() as side:
-            side.send(_run_tasks, work, tasks[1::2])
-            results[::2] = _run_tasks(work, tasks[::2])
-            results[1::2] = side.recv()
-
-    rows = []
-    for s in range(n_seeds):
-        top1, topk, times = zip(*results[s * len(blocks):(s + 1) * len(blocks)])
-        rows.append(EvalRow(
-            method=method,
-            eval_rate=missing_rate,
-            top1_rmse=float(np.mean(np.concatenate(top1))),
-            top3_rmse=float(np.mean(np.concatenate(topk))),
-            n_examples=n,
-            seed=s,
-            wall_time=sum(times),
-            trained_rate=trained_rate,
-        ))
-    return EvalReport(rows)
+    """Measure-then-impute error of a policy or selector baseline, per seed:
+    sweep_missing_rates at the one rate missing_rate."""
+    return sweep_missing_rates(subject, imputer, dataset, [missing_rate], k=k,
+                               n_seeds=n_seeds, seed=seed, eval_mode=eval_mode,
+                               method=method, trained_rate=trained_rate)
 
 
 def sweep_missing_rates(
@@ -206,16 +153,58 @@ def sweep_missing_rates(
     method: str | None = None,
     trained_rate: float = float("nan"),
 ) -> EvalReport:
-    """eval_policy across missing rates with frozen weights, one horizon each."""
+    """Measure-then-impute error of a policy or selector baseline, per rate
+    and seed, with frozen weights and one horizon per rate.
+
+    subject is either a PolicyModel (rolled greedily by default) or a
+    selector callable (values, masks, rng) -> actions.
+
+    The work is one list of (rate, seed s, row block j) tasks, the blocks
+    from row_blocks, each run by _run_task from its own substreams, so its
+    bits depend only on its key and its rate's horizon.  helper.split shares
+    the list with the process's helper; a forked one is sent the subject
+    (which must pickle), the imputer and the truth rows, and computes under
+    the same numeric environment, so the report is bit-identical either way.
+    A process holds one block's rollout and draws at a time.  A seed's errors
+    are means over its rows, and its EvalRow.wall_time sums its task times.
+    """
     rates = list(rates)
     for r in rates:
         if not 0.0 <= r < 1.0:
             raise ValueError(f"rates must lie in [0, 1), got {r}")
+    if eval_mode not in EVAL_MODES:
+        raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {eval_mode!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
+    truth = _ground_truth(dataset)
+    n, d = truth.shape
+    if n == 0:
+        raise ValueError("evaluation needs at least one row")
+    if method is None:
+        method = method_name(subject)
+    blocks = row_blocks(n)
+    keys = list(itertools.product(rates, range(n_seeds)))
+    tasks = [(horizon_for(d, r), s, j) for r, s in keys for j in range(len(blocks))]
+    results = [None] * len(tasks)
+    work = (subject, imputer, truth, blocks, k, seed, eval_mode)
+    for part, reply in helper.split(_run_tasks, len(tasks), work, tasks):
+        results[part] = reply
+
     report = EvalReport()
-    for r in rates:
-        report.extend(eval_policy(subject, imputer, dataset, r, k=k,
-                                  n_seeds=n_seeds, seed=seed, eval_mode=eval_mode,
-                                  method=method, trained_rate=trained_rate))
+    for i, (r, s) in enumerate(keys):
+        top1, topk, times = zip(*results[i * len(blocks):(i + 1) * len(blocks)])
+        report.rows.append(EvalRow(
+            method=method,
+            eval_rate=r,
+            top1_rmse=float(np.mean(np.concatenate(top1))),
+            top3_rmse=float(np.mean(np.concatenate(topk))),
+            n_examples=n,
+            seed=s,
+            wall_time=sum(times),
+            trained_rate=trained_rate,
+        ))
     return report
 
 

@@ -1,18 +1,15 @@
 """One helper per process, beside the main one, for work that can overlap.
 
-The joint loop sends it up to three requests per iteration
-(training.joint_train).  The first rolls the E2 set.  The second forms
-phi_new, E2's reward and E2's actor-gradient term.  The third rolls half of
-E3's rows; a fine-tune round sends only this one.  Evaluation sends it half
-of its (seed, row block) tasks (evaluate.eval_policy).  The helper is
-started on first use (use()) and every later use in the process reuses it.
-That first use makes the one choice of how it runs: a forked process where
-core_for_helper() holds, else a stand-in that answers each request in this
-process.  Callers write one code path for both; one that splits a batch
-between the two processes reads the helper's concurrent flag, since a split
-gains nothing where the stand-in computes each half in turn.  Forking
-gives the helper this process's loaded NumPy and BLAS, so it computes under
-the same numeric environment and its bits are the same as computing here.
+The joint loop sends it two requests per iteration for the E2 set
+(training.joint_train).  Work of n independent items goes through split(),
+the one place that decides how it is shared: E3's rows
+(training._adapt_round) and evaluation's tasks (evaluate.sweep_missing_rates).
+The helper is started on first use (use()) and every later use in the
+process reuses it.  That first use makes the one choice of how it runs: a
+forked process where core_for_helper() holds, else a stand-in that answers
+each request in this process.  Forking gives the helper this process's
+loaded NumPy and BLAS, so it computes under the same numeric environment
+and its bits are the same as computing here.
 It sees this process only as it was at the fork, so a request names a
 module-level function and carries that function's arguments, models and
 data included, over the pipe.
@@ -116,9 +113,6 @@ class Helper:
     failed send and an error reply stay counted).  close() stops it.
     """
 
-    # whether a reply is computed beside this process, not inside send()
-    concurrent = True
-
     def __init__(self, name: str):
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
@@ -164,8 +158,6 @@ class _InProcess:
     computes the reply fn(*args) at once, here, and recv() returns the oldest
     one.  fn's exception is raised by send()."""
 
-    concurrent = False
-
     def __init__(self):
         self._replies = collections.deque()
 
@@ -207,6 +199,22 @@ def use():
         if side.pending:
             stop()
         raise
+
+
+def split(fn, n: int, *args) -> list[tuple[slice, object]]:
+    """fn(*args, part) over parts that cover n independent items once, as
+    (part, reply) pairs.  With a forked helper and n >= 2 the helper computes
+    the odd items, slice(1, n, 2), beside this process's even ones;
+    otherwise this process makes one call over slice(0, n).  The stand-in
+    would compute two parts in turn, which only costs time, and for n < 2
+    no helper starts."""
+    if n >= 2:
+        with use() as side:
+            if not isinstance(side, _InProcess):
+                side.send(fn, *args, slice(1, n, 2))
+                here = fn(*args, slice(0, n, 2))
+                return [(slice(0, n, 2), here), (slice(1, n, 2), side.recv())]
+    return [(slice(0, n), fn(*args, slice(0, n)))]
 
 
 def stop() -> None:

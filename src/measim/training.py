@@ -371,25 +371,15 @@ def _adapt_round(policy: PolicyModel, imputer: ImputerModel, mv, mm, xbar,
     """The joint loop's E3 step and one fine-tune round: roll the policy
     stochastically with no records, take one adapt_step on the terminal
     states, and require both losses finite.  Returns (imputer, unsup, sup).
-
-    Where the process's helper computes beside this process (a forked
-    helper, helper.use) and the batch has two rows or more, the helper rolls
-    rows b//2: (_e3_rows) while this process rolls rows :b//2, and the two
-    terminal halves are stacked.  Each half draws the whole batch's uniforms
-    and keeps its own rows, so the bits are those of rolling the whole batch
-    here, as the in-process stand-in does.
+    helper.split shares the rollout's rows (_e3_rows); each part draws the
+    whole batch's uniforms and keeps its rows, so the bits are those of
+    rolling the whole batch at once.
     """
-    b = len(xbar)
-    with helper.use() as side:
-        if side.concurrent and b >= 2:
-            side.send(_e3_rows, policy.actor, policy.critic, xbar, horizon, roll_rng,
-                      slice(b // 2, b))
-            mine = _e3_rows(policy.actor, policy.critic, xbar, horizon, roll_rng,
-                            slice(0, b // 2))
-            values, masks = (np.concatenate(halves) for halves in zip(mine, side.recv()))
-        else:
-            roll = rollout_batch(policy, xbar, horizon, "stochastic", roll_rng, grad=False)
-            values, masks = roll.terminal_values, roll.terminal_masks
+    b, d = xbar.shape
+    values, masks = np.empty((b, d)), np.empty((b, d))
+    for rows, (v, m) in helper.split(_e3_rows, b, policy.actor, policy.critic, xbar,
+                                     horizon, roll_rng):
+        values[rows], masks[rows] = v, m
     imputer, losses = adapt_step(imputer, mv, mm, values, masks, xbar,
                                  cfg.alpha, cfg.alpha_prime, cfg.loss_config(),
                                  rng_unsup, rng_sup)
@@ -411,6 +401,18 @@ def _e3_rows(actor: nn.DenseNet, critic: nn.DenseNet, xbar, horizon: int, rng,
 # what _e2_roll keeps for _e2_term in the process that runs the requests:
 # the E2 set with the policy that rolled it, and what phi_new is formed from
 _e2: tuple | None = None
+
+
+@contextlib.contextmanager
+def _e2_chain():
+    """The helper for the E2 requests.  The slot _e2_roll fills is emptied
+    however the block leaves, so an aborted loop keeps no E2 set here."""
+    global _e2
+    try:
+        with helper.use() as side:
+            yield side
+    finally:
+        _e2 = None
 
 
 def _e2_roll(actor: nn.DenseNet, critic: nn.DenseNet, imputer: ImputerModel, mv, mm,
@@ -492,13 +494,13 @@ def joint_train(
     helper started (helper.core_for_helper: the BLAS computes with one
     thread, two CPUs are usable and the platform can fork) the helper is a
     forked process, sent copies of the models, that computes both while this
-    process rolls and rewards E1, fits the critic and forms E1's term; it
-    then rolls half of E3's rows beside this process (_adapt_round).
+    process rolls and rewards E1, fits the critic and forms E1's term.
     Otherwise each request runs here on the live models as it is sent: E2
-    rolls before E1, its term is formed before E1's reward, the critic fit
-    and the actor step, and E3 rolls whole.  Every draw is keyed by its
-    substream and the forked process computes under the same numeric
-    environment, so every output bit is the same either way.
+    rolls before E1, and its term is formed before E1's reward, the critic
+    fit and the actor step.  E3's rows, and each fine-tune round's, are
+    shared with the helper by helper.split (_adapt_round).  Every draw is
+    keyed by its substream and the forked process computes under the same
+    numeric environment, so every output bit is the same either way.
 
     A run that adapts the imputer (JointConfig.adapts_imputer) on data where
     no row observes two coordinates is refused with ValueError before
@@ -542,7 +544,7 @@ def joint_train(
     # its reward and its actor term go to the helper, which computes them
     # beside E1 where a core is free
     has_e2 = cfg.ablation == "full" and cfg.iterations > 0
-    with helper.use() if has_e2 else contextlib.nullcontext() as e2:
+    with _e2_chain() if has_e2 else contextlib.nullcontext() as e2:
         for i in range(cfg.iterations):
             idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
             mv = dataset.values[idx]

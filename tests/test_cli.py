@@ -487,10 +487,60 @@ def test_eval_rejects_data_without_ground_truth(run_dir, data_dir, capsys):
     assert "ground-truth" in capsys.readouterr().err
 
 
-def test_corrupt_checkpoint_is_runtime_failure(run_dir, data_dir, capsys):
-    (run_dir / "actor.ckpt").write_bytes(b"not a checkpoint")
-    code = main(["eval", "--run", str(run_dir), "--data", str(data_dir / "test.csv")])
-    assert code == 2
+# how a file goes bad: its bytes from its own, or from the run's other files
+CORRUPT = {
+    "truncated": lambda raw, run: raw[:-4],
+    "garbage": lambda raw, run: b"not a checkpoint",
+    "actor": lambda raw, run: (run / "actor.ckpt").read_bytes(),
+    "critic": lambda raw, run: (run / "critic.ckpt").read_bytes(),
+    "schema": lambda raw, run: b"iteration,reward\n0,1.0\n",
+    "row": lambda raw, run: raw.replace(b"\n0,", b"\n0,x", 1),
+}
+
+
+MALFORMED = [
+    ("eval", "actor.ckpt", "garbage", "bad checkpoint magic"),
+    ("eval", "actor.ckpt", "truncated", "truncated checkpoint"),
+    ("eval", "critic.ckpt", "garbage", "bad checkpoint magic"),
+    ("eval", "actor.ckpt", "critic", "not an actor checkpoint"),
+    ("eval", "imputer.ckpt", "actor", "not an imputer checkpoint"),
+    ("sweep", "imputer.ckpt", "truncated", "truncated checkpoint"),
+    ("train-joint", "imputer.ckpt", "garbage", "bad checkpoint magic"),
+    ("train-joint", "imputer.ckpt", "actor", "not an imputer checkpoint"),
+    ("baseline", "imputer.ckpt", "truncated", "truncated checkpoint"),
+    ("baseline", "imputer.ckpt", "actor", "not an imputer checkpoint"),
+    ("eval", "run.csv", "schema", "is not a run log"),
+    ("sweep", "run.csv", "row", "could not convert"),
+]
+
+
+@pytest.mark.parametrize("command, name, how, reason", MALFORMED,
+                         ids=[f"{c}-{n}-{h}" for c, n, h, _ in MALFORMED])
+def test_malformed_model_or_run_log_is_usage_error_naming_it(tmp_path, run_dir, data_dir,
+                                                            capsys, command, name, how,
+                                                            reason):
+    # a file passed as --imputer is a copy outside the run; the others sit in --run
+    takes_imputer = command in ("train-joint", "baseline")
+    bad = tmp_path / name if takes_imputer else run_dir / name
+    bad.write_bytes(CORRUPT[how]((run_dir / name).read_bytes(), run_dir))
+    cfg_path = tmp_path / "config.txt"
+    write_config(tiny_cfg(), cfg_path)
+    out = tmp_path / "out"
+    split = "train.csv" if command == "train-joint" else "test.csv"
+    argv = [command, "--data", str(data_dir / split), "--out", str(out), *{
+        "eval": ["--run", str(run_dir)],
+        "sweep": ["--run", str(run_dir), "--rates", "0.9"],
+        "train-joint": ["--config", str(cfg_path), "--imputer", str(bad)],
+        "baseline": ["--method", "uninform", "--imputer", str(bad)],
+    }[command]]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and reason in err
+    assert "ValueError" not in err
+    if name in ("actor.ckpt", "critic.ckpt"):   # the policy's two files, named together
+        assert str(run_dir / "actor.ckpt") in err and str(run_dir / "critic.ckpt") in err
+    assert not out.exists()
 
 
 def test_sweep_covers_methods_and_rates(run_dir, data_dir):
@@ -510,15 +560,20 @@ def test_sweep_covers_methods_and_rates(run_dir, data_dir):
 
 
 def test_sweep_at_defaults_starts_one_helper(run_dir, data_dir, monkeypatch):
-    # 5 rates x 3 methods evaluate on one helper, started on first use
+    # 5 rates x 3 methods evaluate on one helper, started on first use, sent
+    # one request per method: its tasks over all five rates
     monkeypatch.setattr(helper, "core_for_helper", lambda: True)
-    started = []
+    started, sent = [], []
     real = helper.Helper
+    real_send = real.send
+    monkeypatch.setattr(real, "send", lambda self, fn, *args: sent.append(fn.__name__)
+                        or real_send(self, fn, *args))
     monkeypatch.setattr(helper, "Helper", lambda name: started.append(name) or real(name))
     helper.stop()   # the one run_dir's train-joint started
     assert main(["sweep", "--run", str(run_dir), "--data", str(data_dir / "test.csv")]) == 0
     assert len((run_dir / "sweep.csv").read_text().splitlines()) == 2 + 5 * 3 * 3
     assert started == [helper.NAME]
+    assert sent == ["_run_tasks"] * 3
 
 
 def running_with(text: str) -> list[int]:

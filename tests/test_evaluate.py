@@ -431,15 +431,34 @@ def test_every_row_is_evaluated_once(monkeypatch, subject):
     assert [(r.top1_rmse, r.top3_rmse) for r in report.rows] == ref
     # 3 seeds x 3 blocks, each seed's blocks covering the rows once, in order
     assert len(seen) == 9
-    # in this process the helper's odd tasks run first, when they are sent:
-    # put the rollouts back in task order
-    seen[1::2], seen[::2] = seen[:4], seen[4:]
     for s in range(3):
         assert np.array_equal(np.concatenate(seen[3 * s:3 * s + 3]), truth)
     # per task, top-1 then top-k errors: the minimum over k draws never exceeds the first
     assert sum(len(e) for e in errors[::2]) == 3 * len(truth)
     for top1, topk in zip(errors[::2], errors[1::2]):
         assert np.all(topk <= top1)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+@pytest.mark.parametrize("subject", ["greedy", "uninform", "explicit"])
+def test_a_two_rate_sweep_equals_each_rate_alone(monkeypatch, subject, forked):
+    # one task list over both rates is dealt across them, and each task is
+    # keyed as at one rate: every rate's rows are its per-block reference
+    subj, mode = SUBJECTS[subject]()
+    truth = truth_matrix(361)   # two blocks: 12 tasks over two rates and 3 seeds
+    imputer = random_imputer()
+    evaluate_in_helper(monkeypatch, forked)
+    started = count_helpers(monkeypatch)
+    report = sweep_missing_rates(subj, imputer, truth, [0.6, 0.8], k=3, n_seeds=3, seed=4,
+                                 eval_mode=mode, trained_rate=0.8)
+    assert started == ([helper.NAME] if forked else [])
+    assert [(r.eval_rate, r.seed) for r in report.rows] == [
+        (rate, s) for rate in (0.6, 0.8) for s in range(3)]
+    ref = [means for rate in (0.6, 0.8)
+           for means in block_reference(subj, mode if subject == "greedy" else None,
+                                        imputer, truth, rate, 3, 3, 4)]
+    assert [(r.top1_rmse.hex(), r.top3_rmse.hex()) for r in report.rows] == [
+        (top1.hex(), topk.hex()) for top1, topk in ref]
 
 
 @pytest.mark.parametrize("outcome", ["success", "helper error", "interrupt"])

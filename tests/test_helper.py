@@ -127,6 +127,51 @@ def test_start_with_a_core_forks_a_named_helper(monkeypatch):
         assert fresh is not side and fresh.recv() not in (pid, os.getpid())
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("helper process started")
+
+
+def part_and_pid(items, part):
+    """The items in part, and the process that took them."""
+    return items[part], os.getpid()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_split_without_a_core_makes_one_call_here(monkeypatch, n):
+    # two parts computed in turn would only cost time
+    core_free(monkeypatch, False)
+    monkeypatch.setattr(helper, "Helper", refuse)
+    calls = []
+
+    def record(items, part):
+        calls.append(part)
+        return items[part]
+
+    items = list(range(n))
+    assert helper.split(record, n, items) == [(slice(0, n), items)]
+    assert calls == [slice(0, n)]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_split_of_fewer_than_two_items_starts_no_helper(monkeypatch, n):
+    core_free(monkeypatch, True)
+    monkeypatch.setattr(helper, "Helper", refuse)
+    assert helper.split(part_and_pid, n, list(range(n))) == [
+        (slice(0, n), (list(range(n)), os.getpid()))]
+    assert helper._running is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_split_with_a_core_deals_the_odd_items_to_the_helper(monkeypatch, n):
+    core_free(monkeypatch, True)
+    items = list(range(n))
+    (even, (mine, here)), (odd, (theirs, there)) = helper.split(part_and_pid, n, items)
+    assert (even, odd) == (slice(0, n, 2), slice(1, n, 2))
+    assert (mine, theirs) == (items[::2], items[1::2])
+    assert here == os.getpid() and child_pids() == [there] != [here]
+
+
 @pytest.mark.parametrize("outcome", ["helper error", "interrupt"])
 def test_a_forked_helper_stops_when_a_reply_is_lost(monkeypatch, outcome):
     core_free(monkeypatch, True)

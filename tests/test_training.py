@@ -658,23 +658,29 @@ def test_e2_in_process_matches_serial_reference(monkeypatch, variant, overrides)
     check_against_serial_reference(variant, overrides)
 
 
-@pytest.mark.parametrize("batch", [2, 3, 64])
+@pytest.mark.parametrize("batch", [1, 2, 3, 17, 64])
 @pytest.mark.parametrize("d, horizon", [(100, 20), (144, 22)], ids=["sin80", "img85"])
 def test_e3_row_halves_stack_to_the_whole_rollout(batch, d, horizon):
-    # each half draws the whole batch's uniforms and keeps its own rows, and
-    # every op of a step works row by row, so the halves join bit for bit
+    # each part draws the whole batch's uniforms and keeps its own rows, and
+    # every op of a step works row by row, so the parts join bit for bit:
+    # contiguous halves, helper.split's odd and even rows, or the whole batch
     policy = build_policy(d, rng=np.random.default_rng(1))
     xbar = np.random.default_rng(2).normal(size=(batch, d))
     whole = rollout_batch(policy, xbar, horizon, "stochastic", np.random.default_rng(3),
                           grad=False)
     cut = batch // 2
-    halves = [training._e3_rows(policy.actor, policy.critic, xbar, horizon,
-                                np.random.default_rng(3), rows)
-              for rows in (slice(0, cut), slice(cut, batch))]
-    values, masks = (np.concatenate(pair) for pair in zip(*halves))
-    assert np.array_equal(values, whole.terminal_values)
-    assert np.array_equal(masks, whole.terminal_masks)
-    assert masks.sum(axis=1).tolist() == [horizon] * batch
+    dealings = [[slice(0, batch)]]
+    if batch >= 2:
+        dealings += [[slice(0, cut), slice(cut, batch)],
+                     [slice(0, batch, 2), slice(1, batch, 2)]]
+    for parts in dealings:
+        values, masks = np.empty((batch, d)), np.empty((batch, d))
+        for rows in parts:
+            values[rows], masks[rows] = training._e3_rows(
+                policy.actor, policy.critic, xbar, horizon, np.random.default_rng(3), rows)
+        assert np.array_equal(values, whole.terminal_values), parts
+        assert np.array_equal(masks, whole.terminal_masks), parts
+        assert masks.sum(axis=1).tolist() == [horizon] * batch
 
 
 # each env: the thread count the BLAS itself reports, and thread variables
@@ -767,6 +773,29 @@ def test_interrupt_leaves_no_process(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
     assert multiprocessing.active_children() == []
+
+
+def test_an_aborted_loop_keeps_no_e2_set_in_this_process(monkeypatch):
+    # with the stand-in, _e2_roll fills the slot here before E1 rolls: an
+    # interrupt in E1's rollout must not leave the E2 set, its tapes and the
+    # imputer held until the next run
+    e2_in_helper(monkeypatch, False)
+    real = training.rollout_batch
+    kept = []
+
+    def interrupted(*args, **kwargs):
+        if args[3] == "explore":
+            kept.append(training._e2)
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "rollout_batch", interrupted)
+    ds = tiny_dataset()
+    cfg = tiny_config(iterations=2)
+    with pytest.raises(KeyboardInterrupt):
+        joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert len(kept) == 1 and kept[0] is not None
+    assert training._e2 is None
 
 
 def test_non_finite_e2_reward_in_the_helper_aborts_with_iteration(monkeypatch):
