@@ -135,14 +135,15 @@ def complete_data(dataset: str, n_train: int | None = None, n_test: int | None =
 
 
 def existing(path, kind: str = "file"):
-    """path, if it exists; otherwise a usage error naming it."""
-    if not os.path.exists(path):
-        raise CliError(f"missing {kind}: {path}")
+    """path, if it names a regular file; otherwise a usage error naming it."""
+    if not os.path.isfile(path):
+        raise CliError(f"{kind} is not a regular file: {path}" if os.path.exists(path)
+                       else f"missing {kind}: {path}")
     return path
 
 
 def read(load, what: str, *paths, kind: str = "file"):
-    """load(*paths) on files that exist.  A missing file is a usage error
+    """load(*paths) on regular files.  A missing file is a usage error
     naming it, and so is a malformed one (load raises ValueError), named
     with what was read."""
     for path in paths:

@@ -51,6 +51,9 @@ class EvalRow:
     trained_rate: float = float("nan")
 
     def __post_init__(self):
+        if not (np.isfinite(self.top1_rmse) and np.isfinite(self.top3_rmse)):
+            raise ValueError(f"errors must be finite, got top1_rmse {self.top1_rmse} "
+                             f"and top3_rmse {self.top3_rmse}")
         # top-3 minimizes over a superset that includes the top-1 draw
         if self.top3_rmse > self.top1_rmse:
             raise ValueError(

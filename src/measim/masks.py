@@ -70,6 +70,12 @@ class MissingDataset:
             self.ground_truth = np.asarray(self.ground_truth, dtype=np.float64)
             if self.ground_truth.shape != self.values.shape:
                 raise ValueError("ground truth shape must match values")
+            # a non-finite truth would turn every error against it into NaN
+            bad = ~np.isfinite(self.ground_truth)
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(f"row {i}, column {j}: ground truth "
+                                 f"{float(self.ground_truth[i, j])!r} is not finite")
 
     def __len__(self) -> int:
         return self.values.shape[0]

@@ -432,6 +432,8 @@ def load_checkpoint(path) -> tuple[DenseNet, int]:
             raise ValueError(f"unknown dtype code {code}")
     dtype = ITEMSIZE_DTYPES[code]
     (n_dims,) = struct.unpack("<I", take(4, "dim count"))
+    if n_dims < 2:
+        raise ValueError(f"checkpoint has {n_dims} layer dims; a net has 2 or more")
     dims = [struct.unpack("<I", take(4, "dims"))[0] for _ in range(n_dims)]
     n_layers = n_dims - 1
     tags = [struct.unpack("<B", take(1, "activation tags"))[0] for _ in range(n_layers)]
@@ -447,6 +449,12 @@ def load_checkpoint(path) -> tuple[DenseNet, int]:
                              f"({CODE_ACTS[tags[0]]})")
     hidden_act = CODE_ACTS[tags[0]] if n_layers > 1 else "tanh"
     output_act = CODE_ACTS[tags[-1]]
+    # the header's dims are checked against the file before the net is built,
+    # so a short file cannot make it allocate what the dims promise
+    payload = code * sum(dims[i + 1] * (dims[i] + 1) for i in range(n_layers))
+    if len(raw) - off < payload:
+        raise ValueError(f"truncated checkpoint: its dims take {payload} parameter "
+                         f"bytes, {len(raw) - off} follow")
     net = DenseNet(dims, hidden_activation=hidden_act, output_activation=output_act,
                    dropout_rates=rates, dtype=dtype)
     for i in range(n_layers):

@@ -13,7 +13,8 @@ update; phi_new is discarded.
 Ablations: "no_meta" drops the hypothetical-update machinery (E2 term),
 "no_adaptation" additionally freezes the imputer during the loop, leaving a
 plain REINFORCE trained against the pretrained imputer; joint_train then
-fine-tunes the imputer to the trained policy via finetune_after.
+fine-tunes the imputer to the trained policy by repeating the loop's
+minibatch and E3 step alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from . import helper, nn, rngs
 from .episodes import (
-    Rollout,
     RowDraws,
     horizon_for,
     rollout_batch,
@@ -365,27 +365,48 @@ def _require_finite(x, what: str, iteration: int) -> None:
         raise FloatingPointError(f"non-finite {what} at iteration {iteration}")
 
 
-def _adapt_round(policy: PolicyModel, imputer: ImputerModel, mv, mm, xbar,
-                 horizon: int, cfg: JointConfig, roll_rng, rng_unsup, rng_sup,
-                 iteration: int) -> tuple[ImputerModel, float, float]:
+@dataclass
+class _Loop:
+    """What a joint run's iterations and fine-tune rounds share: the config,
+    the training data and the episode horizon, and the models they step.
+    The critic's Adam moments live in policy.critic_opt."""
+
+    cfg: JointConfig
+    dataset: MissingDataset
+    horizon: int
+    policy: PolicyModel
+    imputer: ImputerModel
+
+
+def _minibatch(loop: _Loop, rng_batch, rng_xbar):
+    """A minibatch drawn with rng_batch and one complete vector x-bar per row,
+    generated by the loop's imputer with rng_xbar; (values, masks, xbar)."""
+    idx = draw_batch(len(loop.dataset), loop.cfg.batch_size, rng_batch)
+    mv, mm = loop.dataset.values[idx], loop.dataset.masks[idx]
+    return mv, mm, impute_batch(loop.imputer, mv, mm, rng_xbar)
+
+
+def _adapt_round(loop: _Loop, mv, mm, xbar, roll_rng, rng_unsup, rng_sup,
+                 iteration: int) -> tuple[float, float]:
     """The joint loop's E3 step and one fine-tune round: roll the policy
-    stochastically with no records, take one adapt_step on the terminal
-    states, and require both losses finite.  Returns (imputer, unsup, sup).
+    stochastically with no records, step loop.imputer once (adapt_step) on
+    the terminal states, and require both losses finite; (unsup, sup).
     helper.split shares the rollout's rows (_e3_rows); each part draws the
     whole batch's uniforms and keeps its rows, so the bits are those of
     rolling the whole batch at once.
     """
+    cfg, policy = loop.cfg, loop.policy
     b, d = xbar.shape
     values, masks = np.empty((b, d)), np.empty((b, d))
     for rows, (v, m) in helper.split(_e3_rows, b, policy.actor, policy.critic, xbar,
-                                     horizon, roll_rng):
+                                     loop.horizon, roll_rng):
         values[rows], masks[rows] = v, m
-    imputer, losses = adapt_step(imputer, mv, mm, values, masks, xbar,
-                                 cfg.alpha, cfg.alpha_prime, cfg.loss_config(),
-                                 rng_unsup, rng_sup)
+    loop.imputer, losses = adapt_step(loop.imputer, mv, mm, values, masks, xbar,
+                                      cfg.alpha, cfg.alpha_prime, cfg.loss_config(),
+                                      rng_unsup, rng_sup)
     unsup, sup = losses["unsupervised"], losses["supervised"]
     _require_finite([unsup, sup], "loss", iteration)
-    return imputer, unsup, sup
+    return unsup, sup
 
 
 def _e3_rows(actor: nn.DenseNet, critic: nn.DenseNet, xbar, horizon: int, rng,
@@ -465,6 +486,69 @@ def pretrain_imputer(cfg: JointConfig, dataset: MissingDataset) -> tuple[Imputer
 # the joint loop
 
 
+def _iteration(loop: _Loop, e2, i: int,
+               keep_e1: bool) -> tuple[IterationStats, tuple | None]:
+    """Joint iteration i: generate x-bar, roll and reward E1, step the actor
+    on E1's term (and E2's, from the helper e2 when there is one), then roll
+    E3 and step loop.imputer unless the ablation freezes it.  Returns
+    (stats, e1): e1 is E1's (rollout, rewards) when keep_e1, else None."""
+    cfg, policy, horizon, seed = loop.cfg, loop.policy, loop.horizon, loop.cfg.seed
+    # (1) one generated complete vector per missing example
+    mv, mm, xbar = _minibatch(loop, rngs.substream(seed, rngs.BATCH, i),
+                              rngs.substream(seed, rngs.XBAR, i))
+    if e2 is not None:
+        e2.send(_e2_roll, policy.actor, policy.critic, loop.imputer, mv, mm, xbar,
+                horizon, cfg, i)
+
+    # (2) exploration episodes
+    roll1 = rollout_batch(policy, xbar, horizon, "explore",
+                          rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
+    if e2 is not None:
+        # (3)-(4) the hypothetical adaptation phi_new from E1's terminals, and
+        # E2's reward against it; the real imputer is untouched
+        e2.send(_e2_term, roll1.terminal_values, roll1.terminal_masks)
+    # E1 is rewarded by the current imputer
+    r1 = terminal_rewards_batch(loop.imputer, roll1, cfg.k_reward,
+                                rngs.substream(seed, rngs.REWARD_1, i))
+    _require_finite(r1, "reward", i)
+
+    # (5) two-term actor step; advantages use the critic before its update,
+    # for the E2 term too, and the fit returns E1's
+    critic_loss, adv1 = critic_update(policy, roll1.steps, r1, cfg.normalize_advantages)
+    _require_finite(critic_loss, "loss", i)
+    terms = [(cfg.beta, actor_gradient(policy, roll1.steps, adv1))]
+    r2 = None
+    if e2 is not None:
+        e2.recv()   # _e2_roll's reply, None
+        grads2, r2 = e2.recv()
+        terms.append((cfg.beta_prime, grads2))
+    # p -= weight * g per term; zero-weight terms are skipped outright so they
+    # cannot perturb bits
+    for weight, grads in terms:
+        if weight != 0.0:
+            policy.actor.step(grads, nn.OptimizerState(kind="sgd", lr=weight))
+    # E1's steps and tapes are spent: release them before E3 records its own
+    e1 = (roll1, r1) if keep_e1 else None
+    roll1 = None
+
+    unsup = sup = float("nan")
+    if cfg.ablation != "no_adaptation":
+        # (6)-(7) E3 under the updated policy drives the real update
+        unsup, sup = _adapt_round(loop, mv, mm, xbar,
+                                  rngs.substream(seed, rngs.EPISODE_3, i),
+                                  rngs.substream(seed, rngs.ADAPT_REAL, i, 0),
+                                  rngs.substream(seed, rngs.ADAPT_REAL, i, 1), i)
+    stats = IterationStats(
+        iteration=i,
+        reward_e1=float(np.mean(r1)),
+        reward_e2=float(np.mean(r2)) if r2 is not None else float("nan"),
+        critic_loss=critic_loss,
+        imputer_unsup=unsup,
+        imputer_sup=sup,
+    )
+    return stats, e1
+
+
 def joint_train(
     cfg: JointConfig,
     dataset: MissingDataset,
@@ -475,15 +559,21 @@ def joint_train(
     """Train policy and imputer together on missing-only data.
 
     Pass a pretrained imputer to skip pretraining; the argument is copied,
-    never mutated.  Per outer iteration: generate a complete batch, roll and
-    reward the exploration set E1, form the hypothetical imputer phi_new from
-    E1 terminals, roll E2 under the unflattened policy and reward it against
-    phi_new, step the actor on both terms, then roll E3 under the updated
-    policy and step the real imputer on its terminals.  phi_new is discarded
-    every iteration.  A "no_adaptation" run, whose imputer stays frozen in
-    the loop, then fine-tunes it to the trained policy (finetune_after,
-    cfg.finetune_iterations rounds); the fine-tuned imputer is the one
-    returned, checksummed and saved.
+    never mutated.  Per outer iteration (_iteration): generate a complete
+    batch, roll and reward the exploration set E1, form the hypothetical
+    imputer phi_new from E1 terminals, roll E2 under the unflattened policy
+    and reward it against phi_new, step the actor on both terms, then roll E3
+    under the updated policy and step the real imputer on its terminals.
+    phi_new is discarded every iteration.  A "no_adaptation" run, whose
+    imputer stays frozen in the loop, then fine-tunes it to the trained
+    policy: cfg.finetune_iterations rounds of the same minibatch and E3 step
+    (_minibatch, _adapt_round) on FINETUNE substreams.  The fine-tuned
+    imputer is the one returned, checksummed and saved.
+
+    Each iteration calls draw_batch first and plateaued last, once each,
+    through this module's globals, and a fine-tune round calls no plateaued:
+    the benchmark's iteration clock (perfbench/tracer.py) patches the two
+    to stamp iterations, and fails a run whose stamps do not count them.
 
     With an E2 set (ablation "full" and at least one iteration), two
     requests per iteration go to the process's helper (helper.use).  _e2_roll
@@ -507,15 +597,10 @@ def joint_train(
     anything is written: the imputer step's self-masking loss would have no
     signal.
     """
-    n = len(dataset)
-    if n == 0:
+    if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    d = dataset.dim
-    horizon = horizon_for(d, cfg.missing_rate)
-    seed = cfg.seed
-
-    if imputer is not None and imputer.d != d:
-        raise ValueError(f"imputer dimension {imputer.d} != dataset dimension {d}")
+    if imputer is not None and imputer.d != dataset.dim:
+        raise ValueError(f"imputer dimension {imputer.d} != dataset dimension {dataset.dim}")
     if cfg.adapts_imputer() and not any_row_observes_two(dataset.masks):
         raise ValueError("adapting the imputer needs a row observing two coordinates or more")
 
@@ -524,21 +609,15 @@ def joint_train(
         write_config(cfg, os.path.join(out_dir, "config.txt"))
         write_environment(os.path.join(out_dir, "environment.json"))
 
-    if imputer is None:
-        imputer, _ = pretrain_imputer(cfg, dataset)
-    else:
-        imputer = imputer.copy()
-
-    policy = build_policy(d, actor_hidden=cfg.actor_hidden,
+    imputer = pretrain_imputer(cfg, dataset)[0] if imputer is None else imputer.copy()
+    policy = build_policy(dataset.dim, actor_hidden=cfg.actor_hidden,
                           critic_hidden=cfg.critic_hidden, dropout=cfg.dropout,
                           critic_lr=cfg.critic_lr,
-                          rng=rngs.substream(seed, rngs.INIT_POLICY))
+                          rng=rngs.substream(cfg.seed, rngs.INIT_POLICY))
+    loop = _Loop(cfg, dataset, horizon_for(dataset.dim, cfg.missing_rate), policy, imputer)
 
     record = RunRecord(config=cfg)
-    adapt = cfg.ablation != "no_adaptation"
-    last_roll: Rollout | None = None
-    last_rewards: np.ndarray | None = None
-
+    e1 = None
     # the E2 set (ablation "full" only) rolls on x-bar under the pre-update
     # nets and is rewarded from E1's terminal state, so its rollout, phi_new,
     # its reward and its actor term go to the helper, which computes them
@@ -546,92 +625,33 @@ def joint_train(
     has_e2 = cfg.ablation == "full" and cfg.iterations > 0
     with _e2_chain() if has_e2 else contextlib.nullcontext() as e2:
         for i in range(cfg.iterations):
-            idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.BATCH, i))
-            mv = dataset.values[idx]
-            mm = dataset.masks[idx]
-
-            # (1) one generated complete vector per missing example
-            xbar = impute_batch(imputer, mv, mm, rngs.substream(seed, rngs.XBAR, i))
-            if e2 is not None:
-                e2.send(_e2_roll, policy.actor, policy.critic, imputer, mv, mm, xbar,
-                        horizon, cfg, i)
-
-            # (2) exploration episodes
-            roll1 = rollout_batch(policy, xbar, horizon, "explore",
-                                  rngs.substream(seed, rngs.EPISODE_1, i), cfg.explore_e)
-            if e2 is not None:
-                # (3)-(4) the hypothetical adaptation phi_new from E1's
-                # terminals, and E2's reward against it; the real imputer is
-                # untouched
-                e2.send(_e2_term, roll1.terminal_values, roll1.terminal_masks)
-            # E1 is rewarded by the current imputer
-            r1 = terminal_rewards_batch(imputer, roll1, cfg.k_reward,
-                                        rngs.substream(seed, rngs.REWARD_1, i))
-            _require_finite(r1, "reward", i)
-
-            # (5) two-term actor step; advantages use the critic before its
-            # update, for the E2 term too, and the fit returns E1's
-            critic_loss, adv1 = critic_update(policy, roll1.steps, r1,
-                                              cfg.normalize_advantages)
-            _require_finite(critic_loss, "loss", i)
-            terms = [(cfg.beta, actor_gradient(policy, roll1.steps, adv1))]
-            r2 = None
-            if e2 is not None:
-                e2.recv()   # _e2_roll's reply, None
-                grads2, r2 = e2.recv()
-                terms.append((cfg.beta_prime, grads2))
-            # p -= weight * g per term; zero-weight terms are skipped outright
-            # so they cannot perturb bits
-            for weight, grads in terms:
-                if weight != 0.0:
-                    policy.actor.step(grads, nn.OptimizerState(kind="sgd", lr=weight))
-            # E1's steps and tapes are spent: release them before E3 records
-            # its own
-            if trace_episodes:
-                last_roll, last_rewards = roll1, r1
-            roll1 = None
-
-            unsup = sup = float("nan")
-            if adapt:
-                # (6)-(7) E3 under the updated policy drives the real update
-                imputer, unsup, sup = _adapt_round(
-                    policy, imputer, mv, mm, xbar, horizon, cfg,
-                    rngs.substream(seed, rngs.EPISODE_3, i),
-                    rngs.substream(seed, rngs.ADAPT_REAL, i, 0),
-                    rngs.substream(seed, rngs.ADAPT_REAL, i, 1), i)
-
-            record.stats.append(IterationStats(
-                iteration=i,
-                reward_e1=float(np.mean(r1)),
-                reward_e2=float(np.mean(r2)) if r2 is not None else float("nan"),
-                critic_loss=critic_loss,
-                imputer_unsup=unsup,
-                imputer_sup=sup,
-            ))
-
+            stats, e1 = _iteration(loop, e2, i, trace_episodes)
+            record.stats.append(stats)
             if plateaued(record.rewards, cfg.early_stop_window, cfg.early_stop_tol):
                 record.stopped_early = True
                 break
 
-    if not adapt:
-        imputer = finetune_after(policy, imputer, cfg, dataset)
+    if cfg.ablation == "no_adaptation":
+        # the imputer, frozen in the loop, is fine-tuned to the trained policy
+        for i in range(cfg.finetune_iterations):
+            rng = [rngs.substream(cfg.seed, rngs.FINETUNE, i, j) for j in range(5)]
+            _adapt_round(loop, *_minibatch(loop, rng[0], rng[1]), *rng[2:], i)
 
     record.checksums = {
         "actor": params_checksum(policy.actor),
         "critic": params_checksum(policy.critic),
-        "imputer": params_checksum(imputer.net),
+        "imputer": params_checksum(loop.imputer.net),
     }
 
     if out_dir is not None:
         write_run_csv(record, os.path.join(out_dir, "run.csv"))
         save_policy(policy, os.path.join(out_dir, "actor.ckpt"),
                     os.path.join(out_dir, "critic.ckpt"))
-        save_imputer(imputer, os.path.join(out_dir, "imputer.ckpt"))
-        if trace_episodes and last_roll is not None:
-            write_episode_trace(os.path.join(out_dir, "episodes.csv"),
-                                last_roll, last_rewards)
+        save_imputer(loop.imputer, os.path.join(out_dir, "imputer.ckpt"))
+        if e1 is not None:
+            write_episode_trace(os.path.join(out_dir, "episodes.csv"), *e1)
 
-    return policy, imputer, record
+    return policy, loop.imputer, record
 
 
 def plain_reinforce_train(
@@ -668,33 +688,3 @@ def plain_reinforce_train(
             break
     return policy, rewards
 
-
-def finetune_after(
-    policy: PolicyModel,
-    imputer: ImputerModel,
-    cfg: JointConfig,
-    dataset: MissingDataset,
-) -> ImputerModel:
-    """Adapt the imputer to a frozen, already-trained policy.
-
-    Runs cfg.finetune_iterations rounds of: generate a complete batch, roll
-    the policy without exploration, and take one combined-loss step on the
-    terminal states.  Returns a new imputer; neither argument is mutated.
-    """
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("dataset is empty")
-    d = dataset.dim
-    horizon = horizon_for(d, cfg.missing_rate)
-    seed = cfg.seed
-    model = imputer.copy()
-    for i in range(cfg.finetune_iterations):
-        idx = draw_batch(n, cfg.batch_size, rngs.substream(seed, rngs.FINETUNE, i, 0))
-        mv = dataset.values[idx]
-        mm = dataset.masks[idx]
-        xbar = impute_batch(model, mv, mm, rngs.substream(seed, rngs.FINETUNE, i, 1))
-        model, _, _ = _adapt_round(policy, model, mv, mm, xbar, horizon, cfg,
-                                   rngs.substream(seed, rngs.FINETUNE, i, 2),
-                                   rngs.substream(seed, rngs.FINETUNE, i, 3),
-                                   rngs.substream(seed, rngs.FINETUNE, i, 4), i)
-    return model

@@ -705,6 +705,38 @@ def test_baseline_missing_imputer(data_dir, tmp_path, capsys):
     assert "nope.ckpt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["baseline", "train-joint", "eval"])
+def test_directory_in_place_of_a_file_is_usage_error_naming_it(tmp_path, run_dir, data_dir,
+                                                               capsys, command):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    out = tmp_path / "out"
+    argv = {
+        "baseline": ["--method", "uninform", "--imputer", str(adir),
+                     "--data", str(data_dir / "test.csv")],
+        "train-joint": ["--config", str(adir), "--data", str(data_dir / "train.csv")],
+        "eval": ["--run", str(run_dir), "--data", str(adir)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--out", str(out), *argv]) == 1
+    assert f"is not a regular file: {adir}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_ground_truth_is_usage_error_naming_it(tmp_path, run_dir, data_dir,
+                                                          capsys):
+    header, first, *rest = (data_dir / "test.csv").read_text().splitlines()
+    data = tmp_path / "nan-truth.csv"
+    data.write_text("\n".join([header, first.rpartition(",")[0] + ",nan", *rest]) + "\n")
+    out = tmp_path / "base.csv"
+    capsys.readouterr()
+    assert main(["baseline", "--method", "uninform", "--data", str(data),
+                 "--imputer", str(run_dir / "imputer.ckpt"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed data file {data}: row 0, column 99: ground truth nan" in err
+    assert not out.exists()
+
+
 @pytest.fixture
 def narrow_data(tmp_path, data_dir):
     """data_dir's splits cut to their first 50 of 100 coordinates."""

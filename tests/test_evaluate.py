@@ -65,6 +65,13 @@ def test_row_rejects_topk_above_top1():
                 n_examples=1, seed=0)
 
 
+@pytest.mark.parametrize("top1, top3", [(np.nan, np.nan), (0.1, np.nan), (np.inf, 0.1)])
+def test_row_rejects_non_finite_errors(top1, top3):
+    with pytest.raises(ValueError, match="errors must be finite"):
+        EvalRow(method="x", eval_rate=0.5, top1_rmse=top1, top3_rmse=top3,
+                n_examples=1, seed=0)
+
+
 def test_row_allows_equal_errors():
     EvalRow(method="x", eval_rate=0.5, top1_rmse=0.1, top3_rmse=0.1,
             n_examples=1, seed=0)

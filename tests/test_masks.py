@@ -233,6 +233,17 @@ def test_csv_rejects_corrupt_rows(tmp_path, row, message):
         load_missing_csv(path)
 
 
+@pytest.mark.parametrize("truth, message", [
+    ("0.5,nan", "row 1, column 1: ground truth nan is not finite"),
+    ("-inf,0.0", "row 1, column 0: ground truth -inf is not finite"),
+])
+def test_csv_rejects_non_finite_ground_truth(tmp_path, truth, message):
+    path = tmp_path / "truth.csv"
+    path.write_text("v0,v1,m0,m1,gt0,gt1\n-0.5,0.0,1,0,-0.5,1.0\n0.5,0.0,1,0," + truth + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_missing_csv(path)
+
+
 def test_missing_dataset_accepts_negative_zero_fill():
     # masking a negative value gives -0.0, which is still a zero fill
     ds = mask_dataset(-np.ones((3, 4)), 2, np.random.default_rng(4))

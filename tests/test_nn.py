@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,39 @@ def test_checkpoint_rejects_garbage(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-4])
     with pytest.raises(ValueError, match="truncated"):
         nn.load_checkpoint(truncated)
+
+
+def _header(dims, tags, rates=()) -> bytes:
+    """A float64 version-2 checkpoint's bytes up to its parameters."""
+    return (nn.CHECKPOINT_MAGIC
+            + struct.pack(f"<IBBI{len(dims)}I", nn.CHECKPOINT_VERSION, nn.ROLE_GENERIC, 8,
+                          len(dims), *dims)
+            + bytes(tags) + struct.pack(f"<{len(rates)}d", *rates))
+
+
+def test_checkpoint_dims_are_checked_against_the_file_before_allocating(tmp_path):
+    # 36 bytes whose header promises 144 MB of float64 parameters
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(_header([3000, 3000, 3000], [nn.ACT_CODES["tanh"],
+                                                  nn.ACT_CODES["identity"]], [0.0]))
+    assert path.stat().st_size == 36
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated checkpoint: its dims take "
+                                             "144048000 parameter bytes, 0 follow"):
+            nn.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("dims", [[], [5]])
+def test_checkpoint_with_fewer_than_two_dims_is_refused(tmp_path, dims):
+    path = tmp_path / "flat.ckpt"
+    path.write_bytes(_header(dims, []))
+    with pytest.raises(ValueError, match=f"checkpoint has {len(dims)} layer dims"):
+        nn.load_checkpoint(path)
 
 
 def _patched_tags(tmp_path, tags):

@@ -19,13 +19,13 @@ from measim.masks import MissingDataset, mask_dataset, mcar_spec
 from measim.nn import OptimizerState
 from measim.policy import actor_gradient, advantages_for, build_policy, critic_update
 from measim.training import (
+    ABLATIONS,
     IterationStats,
     JointConfig,
     RunRecord,
     config_to_text,
     draw_batch,
     environment_manifest,
-    finetune_after,
     joint_train,
     load_config,
     load_run_csv,
@@ -503,14 +503,16 @@ def test_joint_loop_holds_at_most_two_rollouts(monkeypatch):
     alive, held, kept = track_rollouts(monkeypatch)
     ds = tiny_dataset()
     cfg = tiny_config(iterations=3)
-    policy, imputer, _ = joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
     assert held == [0, 1, 0] * 3
     assert not any(r() is not None for r in alive)
     assert kept == [(True, True), (True, True), (False, False)] * 3
 
     kept.clear()
-    finetune_after(policy, imputer, dataclasses.replace(cfg, finetune_iterations=2), ds)
-    assert kept == [(False, False)] * 2
+    cfg = tiny_config(ablation="no_adaptation", beta_prime=0.0, iterations=1,
+                      finetune_iterations=2)
+    joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert kept == [(True, True)] + [(False, False)] * 2
 
 
 def test_joint_loop_holds_at_most_one_rollout(monkeypatch):
@@ -523,14 +525,53 @@ def test_joint_loop_holds_at_most_one_rollout(monkeypatch):
     alive, held, kept = track_rollouts(monkeypatch)
     ds = tiny_dataset()
     cfg = tiny_config(iterations=3)
-    policy, imputer, _ = joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
     assert held == [0, 0] * 3
     assert not any(r() is not None for r in alive)
     assert kept == [(True, True), (False, False)] * 3
 
     kept.clear()
-    finetune_after(policy, imputer, dataclasses.replace(cfg, finetune_iterations=2), ds)
-    assert kept == [(False, False)] * 2
+    cfg = tiny_config(ablation="no_adaptation", beta_prime=0.0, iterations=1,
+                      finetune_iterations=2)
+    joint_train(cfg, ds, imputer=pretrained_imputer(cfg, ds))
+    assert kept == [(True, True)] + [(False, False)] * 2
+
+
+# what a joint iteration looks up on this module, in call order, with E2's
+# requests run in this process; a fine-tune round draws a minibatch and
+# takes the E3 step alone
+LOOP_CALLS = {
+    "full": ["draw_batch", "impute_batch", "rollout_batch", "rollout_batch", "adapt_step",
+             "terminal_rewards_batch", "advantages_for", "actor_gradient",
+             "terminal_rewards_batch", "critic_update", "actor_gradient", "rollout_batch",
+             "adapt_step", "plateaued"],
+    "no_meta": ["draw_batch", "impute_batch", "rollout_batch", "terminal_rewards_batch",
+                "critic_update", "actor_gradient", "rollout_batch", "adapt_step", "plateaued"],
+    "no_adaptation": ["draw_batch", "impute_batch", "rollout_batch", "terminal_rewards_batch",
+                      "critic_update", "actor_gradient", "plateaued"],
+}
+FINETUNE_CALLS = ["draw_batch", "impute_batch", "rollout_batch", "adapt_step"]
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_each_iteration_runs_from_draw_batch_to_plateaued(monkeypatch, ablation):
+    # the benchmark's tracer patches these names on this module: its
+    # iteration clock stamps an iteration from the draw_batch call to the
+    # plateaued call, and fails a run whose stamps do not count the
+    # iterations, so a fine-tune round must call no plateaued
+    e2_in_helper(monkeypatch, False)
+    ds = tiny_dataset()
+    cfg = tiny_config(ablation=ablation, beta_prime=0.05 if ablation == "full" else 0.0,
+                      iterations=2, finetune_iterations=2)
+    pre = pretrained_imputer(cfg, ds)
+    calls = []
+    for name in set(LOOP_CALLS["full"]):
+        real = getattr(training, name)
+        monkeypatch.setattr(training, name, lambda *a, _name=name, _real=real, **k:
+                            calls.append(_name) or _real(*a, **k))
+    joint_train(cfg, ds, imputer=pre)
+    rounds = FINETUNE_CALLS * 2 if ablation == "no_adaptation" else []
+    assert calls == LOOP_CALLS[ablation] * 2 + rounds
 
 
 def serial_joint_train(cfg, ds, imputer):
@@ -899,21 +940,21 @@ def test_run_manifest_records_numeric_environment(tmp_path, monkeypatch):
 
 def test_finetune_zero_iterations_is_identity():
     ds = tiny_dataset()
-    cfg = tiny_config(ablation="no_adaptation", beta_prime=0.0, finetune_iterations=0)
+    cfg = tiny_config(ablation="no_adaptation", beta_prime=0.0, iterations=1,
+                      finetune_iterations=0)
     pre = pretrained_imputer(cfg, ds)
-    policy = build_policy(D, actor_hidden=cfg.actor_hidden, critic_hidden=cfg.critic_hidden,
-                          rng=np.random.default_rng(3))
-    tuned = finetune_after(policy, pre, cfg, ds)
+    _, tuned, _ = joint_train(cfg, ds, imputer=pre)
     assert tuned is not pre
     assert_params_equal(tuned.net, pre.net)
 
 
 def test_finetune_does_not_mutate_inputs():
     ds = tiny_dataset()
-    cfg = tiny_config(ablation="no_adaptation", beta_prime=0.0, finetune_iterations=2)
+    cfg = tiny_config(ablation="no_adaptation", beta_prime=0.0, iterations=1,
+                      finetune_iterations=2)
     pre = pretrained_imputer(cfg, ds)
     before = [p.copy() for p in pre.net.params()]
-    tuned = finetune_after(build_policy(D, rng=np.random.default_rng(3)), pre, cfg, ds)
+    _, tuned, _ = joint_train(cfg, ds, imputer=pre)
     for a, b in zip(before, pre.net.params()):
         assert np.array_equal(a, b)
     assert any(not np.array_equal(a, b)
