@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .imputer import ImputerModel, impute_batch
+from .imputer import ImputerModel, impute_batch, raw_draws
 from .masks import mcar_spec
 from .policy import (
     PolicyModel,
@@ -120,7 +120,8 @@ def rollout_batch(
 
     explore: flattened distribution, dropout active.  stochastic: plain
     masked softmax, dropout active.  greedy: dropout-free masked argmax of
-    the scores (ties go to the lowest index).
+    the scores (ties go to the lowest index), which draws nothing from rng
+    (it may be None).
 
     A step keeps its gradient inputs (state, tape, probs, sample_probs) only
     in a train-mode rollout with grad=True.  Its state is the actor's input,
@@ -187,7 +188,12 @@ class UniformSelector:
 
 
 class ExplicitSelector:
-    """Measure the coordinate with the largest variance over k imputations."""
+    """Measure the coordinate with the largest variance over k imputations.
+
+    It scores the k raw draws (imputer.raw_draws) rather than impute_batch's
+    completions: the two agree on every unobserved coordinate, and an
+    observed one can never win.
+    """
 
     def __init__(self, model: ImputerModel, k: int = 5):
         if k < 2:
@@ -196,10 +202,18 @@ class ExplicitSelector:
         self.k = k
 
     def __call__(self, values, masks, rng):
-        draws = impute_batch(self.model, values, masks, rng, k=self.k)
-        var = draws.var(axis=0)
+        draws = np.empty((self.k, *values.shape))
+        for draw, y in zip(draws, raw_draws(self.model, values, masks, rng, self.k)):
+            draw[...] = y
+        # draws.var(axis=0) in place, with np.var's operations in its order
+        var = draws.sum(axis=0)
+        var /= self.k
+        draws -= var
+        np.square(draws, out=draws)
+        var = draws.sum(axis=0)
+        var /= self.k
         # observed coordinates can never win the argmax
-        var = np.where(masks == 0.0, var, -1.0)
+        np.copyto(var, -1.0, where=masks != 0.0)
         return np.argmax(var, axis=1)
 
 

@@ -10,6 +10,7 @@ the minimum over all k draws the top-k error.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -41,6 +42,10 @@ EVAL_BLOCK_ROWS = 360
 
 @dataclass
 class EvalRow:
+    """One seed's errors at one rate.  wall_time sums, over its row blocks,
+    the seconds its imputation took plus its share of the block's rollout:
+    all of it, or an equal share where a greedy policy's seeds share one."""
+
     method: str
     eval_rate: float
     top1_rmse: float
@@ -100,27 +105,43 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(j * n // m, (j + 1) * n // m) for j in range(m)]
 
 
+def _scores(imputer: ImputerModel, roll, rows: np.ndarray, k: int,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row top-1 and top-k errors of k imputations of roll's terminal
+    states; the draws are released on return."""
+    cands = impute_batch(imputer, roll.terminal_values, roll.terminal_masks, rng, k=k)
+    return topk_rmse(cands[:1], rows), topk_rmse(cands, rows)
+
+
 def _run_task(subject, imputer: ImputerModel, truth: np.ndarray, blocks: list[slice],
-              k: int, seed: int, eval_mode: str, horizon: int, s: int,
-              j: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Task (horizon, s, j): roll block j for horizon steps from substream
-    (seed, EVAL, s, 0, j), impute its terminal states k times from (seed,
-    EVAL, s, 1, j), and return the per-row top-1 and top-k errors and the
-    task's time.  The rollout and draws are released on return, before the
-    next task's."""
+              k: int, seed: int, eval_mode: str, horizon: int, seeds: tuple[int, ...],
+              j: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Task (horizon, seeds, j): roll block j for horizon steps, impute its
+    terminal states k times for each seed s of seeds from (seed, EVAL, s, 1,
+    j), and return each seed's per-row top-1 and top-k errors and time.
+
+    A task with one seed s rolls from (seed, EVAL, s, 0, j).  Seeds share a
+    rollout only where it draws nothing (a greedy policy's), so a task with
+    several rolls with no generator.  The rollout is released on return,
+    before the next task's.
+    """
     start = time.perf_counter()
     rows = truth[blocks[j]]
-    rng_ep = rngs.substream(seed, rngs.EVAL, s, 0, j)
-    rng_imp = rngs.substream(seed, rngs.EVAL, s, 1, j)
+    rng_ep = rngs.substream(seed, rngs.EVAL, seeds[0], 0, j) if len(seeds) == 1 else None
     if isinstance(subject, PolicyModel):
         roll = rollout_batch(subject, rows, horizon, eval_mode, rng_ep, grad=False)
     else:
         roll = rollout_with_selector(subject, rows, horizon, rng_ep)
-    cands = impute_batch(imputer, roll.terminal_values, roll.terminal_masks, rng_imp, k=k)
-    return topk_rmse(cands[:1], rows), topk_rmse(cands, rows), time.perf_counter() - start
+    shared = (time.perf_counter() - start) / len(seeds)
+    out = []
+    for s in seeds:
+        start = time.perf_counter()
+        top1, topk = _scores(imputer, roll, rows, k, rngs.substream(seed, rngs.EVAL, s, 1, j))
+        out.append((top1, topk, shared + (time.perf_counter() - start)))
+    return out
 
 
-def _run_tasks(work: tuple, tasks: list[tuple[int, int, int]], part: slice) -> list:
+def _run_tasks(work: tuple, tasks: list[tuple[int, tuple[int, ...], int]], part: slice) -> list:
     """_run_task(*work, *task) for each task of tasks[part], in order."""
     return [_run_task(*work, *task) for task in tasks[part]]
 
@@ -162,14 +183,16 @@ def sweep_missing_rates(
     subject is either a PolicyModel (rolled greedily by default) or a
     selector callable (values, masks, rng) -> actions.
 
-    The work is one list of (rate, seed s, row block j) tasks, the blocks
-    from row_blocks, each run by _run_task from its own substreams, so its
-    bits depend only on its key and its rate's horizon.  helper.split shares
-    the list with the process's helper; a forked one is sent the subject
-    (which must pickle), the imputer and the truth rows, and computes under
-    the same numeric environment, so the report is bit-identical either way.
-    A process holds one block's rollout and draws at a time.  A seed's errors
-    are means over its rows, and its EvalRow.wall_time sums its task times.
+    The work is one list of tasks, each a row block j (from row_blocks) at
+    one rate and run by _run_task from its own substreams, so its bits
+    depend only on its key and its rate's horizon.  A task holds one seed s,
+    or for a greedy policy every seed: a greedy rollout draws nothing, so the
+    seeds share one rollout per block and differ only in their imputation
+    draws.  helper.split shares the list with the process's helper; a forked
+    one is sent the subject (which must pickle), the imputer and the truth
+    rows, and computes under the same numeric environment, so the report is
+    bit-identical either way.  A process holds one block's rollout and one
+    seed's draws at a time.  A seed's errors are means over its rows.
     """
     rates = list(rates)
     for r in rates:
@@ -188,19 +211,27 @@ def sweep_missing_rates(
     if method is None:
         method = method_name(subject)
     blocks = row_blocks(n)
-    keys = list(itertools.product(rates, range(n_seeds)))
-    tasks = [(horizon_for(d, r), s, j) for r, s in keys for j in range(len(blocks))]
+    if isinstance(subject, PolicyModel) and eval_mode == "greedy":
+        groups = [tuple(range(n_seeds))]
+    else:
+        groups = [(s,) for s in range(n_seeds)]
+    keys = list(itertools.product(range(len(rates)), groups, range(len(blocks))))
+    tasks = [(horizon_for(d, rates[i]), seeds, j) for i, seeds, j in keys]
     results = [None] * len(tasks)
     work = (subject, imputer, truth, blocks, k, seed, eval_mode)
     for part, reply in helper.split(_run_tasks, len(tasks), work, tasks):
         results[part] = reply
 
+    per_seed = collections.defaultdict(list)   # (rate index, s): its blocks' results
+    for (i, seeds, _), reply in zip(keys, results):
+        for s, result in zip(seeds, reply):
+            per_seed[i, s].append(result)
     report = EvalReport()
-    for i, (r, s) in enumerate(keys):
-        top1, topk, times = zip(*results[i * len(blocks):(i + 1) * len(blocks)])
+    for i, s in itertools.product(range(len(rates)), range(n_seeds)):
+        top1, topk, times = zip(*per_seed[i, s])
         report.rows.append(EvalRow(
             method=method,
-            eval_rate=r,
+            eval_rate=rates[i],
             top1_rmse=float(np.mean(np.concatenate(top1))),
             top3_rmse=float(np.mean(np.concatenate(topk))),
             n_examples=n,

@@ -38,13 +38,12 @@ from numpy.linalg import _umath_linalg
 NAME = "measim-helper"
 
 
-def _openblas(verb: str, argtypes: list, restype):
-    """NumPy's OpenBLAS function <verb>_num_threads, declared; None for
-    another BLAS."""
+def _openblas(name: str, argtypes: list, restype):
+    """NumPy's OpenBLAS function openblas_<name>, declared; None for another
+    BLAS."""
     lib = ctypes.CDLL(_umath_linalg.__file__)
-    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
-                 "openblas_%s_num_threads"):
-        fn = getattr(lib, name % verb, None)
+    for symbol in ("scipy_openblas_%s64_", "openblas_%s64_", "openblas_%s"):
+        fn = getattr(lib, symbol % name, None)
         if fn is not None:
             fn.argtypes, fn.restype = argtypes, restype
             return fn
@@ -53,14 +52,21 @@ def _openblas(verb: str, argtypes: list, restype):
 
 def blas_threads() -> int | None:
     """The thread count NumPy's BLAS computes with; None if it is no OpenBLAS."""
-    get = _openblas("get", [], ctypes.c_int)
+    get = _openblas("get_num_threads", [], ctypes.c_int)
     return None if get is None else get()
+
+
+def blas_core() -> str | None:
+    """The CPU kernel set NumPy's OpenBLAS chose at load (SkylakeX, Haswell,
+    ...; OPENBLAS_CORETYPE forces one); None if it is no OpenBLAS."""
+    get = _openblas("get_corename", [], ctypes.c_char_p)
+    return None if get is None else get().decode()
 
 
 def pin_blas() -> None:
     """Set NumPy's OpenBLAS to one thread.  Entry points call it first;
     importing measim leaves a host program's setting alone."""
-    set_threads = _openblas("set", [ctypes.c_int], None)
+    set_threads = _openblas("set_num_threads", [ctypes.c_int], None)
     if set_threads is not None:
         set_threads(1)
 

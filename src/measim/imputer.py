@@ -119,21 +119,19 @@ def net_inputs(model: ImputerModel, values: np.ndarray, masks: np.ndarray) -> np
     return np.concatenate(cols, axis=1)
 
 
-def impute_batch(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
-                 rng: np.random.Generator, k: int | None = None) -> np.ndarray:
-    """Completions of a (batch, d) state block, noise drawn as (batch, Z) blocks.
+def raw_draws(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
+              rng: np.random.Generator, k: int):
+    """Generate k raw net outputs for a (batch, d) state block, in the net's
+    dtype: impute_batch's draws before substitution, observed coordinates
+    not yet restored.
 
-    k=None gives one completion per row, shape (batch, d).  An integer k gives
-    k completions per row, shape (k, batch, d).  The first layer splits into a
-    state term, net_inputs @ W0[:, :width].T + b0, formed once per call, and a
-    noise term each draw adds to it before the remaining layers run.  Each
-    draw's noise block follows the previous one's on rng and k=None takes the
-    same path, so the result equals k successive k=None calls bit for bit.
-    The state inputs and each noise block are cast to the net's dtype before
-    their products, so every matmul runs in it; completions are float64.
+    The first layer splits into a state term, net_inputs @ W0[:, :width].T
+    + b0, formed once, and a noise term each draw adds to it before the
+    remaining layers run.  Each draw's (batch, Z) noise block follows the
+    previous one's on rng, drawn when the draw is asked for.  The state
+    inputs and each noise block are cast to the net's dtype before their
+    products, so every matmul runs in it.
     """
-    if k is not None and k < 1:
-        raise ValueError("k must be >= 1")
     b, d = values.shape
     if d != model.d:
         raise ValueError(f"state has {d} coordinates, imputer expects {model.d}")
@@ -142,11 +140,25 @@ def impute_batch(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
     state_in = net_inputs(model, values, masks).astype(net.dtype, copy=False)
     state_term = state_in @ net.weights[0][:, :width].T + net.biases[0]
     noise_w = net.weights[0][:, width:].T
-    out = np.empty((1 if k is None else k, b, d))
-    for draw in out:
+    for _ in range(k):
         noise = rng.standard_normal((b, model.noise_dim)).astype(net.dtype, copy=False)
-        z0 = state_term + noise @ noise_w
-        draw[...] = substitute_batch(values, masks, nn.forward_from(net, z0))
+        yield nn.forward_from(net, state_term + noise @ noise_w)
+
+
+def impute_batch(model: ImputerModel, values: np.ndarray, masks: np.ndarray,
+                 rng: np.random.Generator, k: int | None = None) -> np.ndarray:
+    """Completions of a (batch, d) state block: raw_draws, substituted.
+
+    k=None gives one completion per row, shape (batch, d).  An integer k gives
+    k completions per row, shape (k, batch, d).  k=None takes the same path as
+    k=1, so the result equals k successive k=None calls bit for bit.
+    Completions are float64.
+    """
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
+    out = np.empty((1 if k is None else k, *values.shape))
+    for draw, y in zip(out, raw_draws(model, values, masks, rng, len(out))):
+        draw[...] = substitute_batch(values, masks, y)
     return out[0] if k is None else out
 
 

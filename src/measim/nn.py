@@ -51,13 +51,10 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        # stable form for both signs
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # stable for both signs: with e = exp(-|z|), 1 / (1 + e) where z >= 0
+        # and e / (1 + e) elsewhere; max(e, 1) is 1 exactly, max(e, 0) is e
+        e = np.exp(-np.abs(z))
+        return np.maximum(e, z >= 0) / (1.0 + e)
     raise ValueError(f"unknown activation {name!r}")
 
 

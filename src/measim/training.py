@@ -319,7 +319,8 @@ def environment_manifest() -> dict:
     """The numeric environment a run's bytes depend on.
 
     The same seed gives the same run.csv only under the same NumPy and BLAS;
-    this records them and the BLAS thread count.  The BLAS entry needs
+    this records them, the BLAS thread count and the CPU kernel set the BLAS
+    chose (its float32 products differ by kernel).  The BLAS entry needs
     np.show_config(mode="dicts") (NumPy >= 1.25) and is null without it.
     """
     blas = None
@@ -333,6 +334,7 @@ def environment_manifest() -> dict:
         "numpy": np.__version__,
         "blas": blas,
         "blas_threads": helper.blas_threads(),
+        "blas_core": helper.blas_core(),
     }
 
 

@@ -409,6 +409,27 @@ def test_explicit_selector_never_picks_observed():
         ExplicitSelector(model, k=1)
 
 
+@pytest.mark.parametrize("variant", ["sinusoid", "image"])
+def test_explicit_selector_equals_the_variance_of_completions(variant):
+    # the raw draws and impute_batch's completions agree where a coordinate
+    # is unobserved, and the in-place variance keeps np.var's bits; the same
+    # noise is drawn, so rng ends where impute_batch leaves it
+    d = 12
+    model = build_imputer(d, variant, noise_dim=3, hidden=(16,), rng=np.random.default_rng(36))
+    sel = ExplicitSelector(model, k=5)
+    rng = np.random.default_rng(37)
+    for n_obs in (0, 1, 6, 11):
+        masks = np.zeros((40, d))
+        for i in range(40):
+            masks[i, rng.choice(d, size=n_obs, replace=False)] = 1.0
+        values = rng.uniform(size=(40, d)) * masks
+        ours, theirs = np.random.default_rng(n_obs), np.random.default_rng(n_obs)
+        actions = sel(values, masks, ours)
+        var = impute_batch(model, values, masks, theirs, k=5).var(axis=0)
+        assert np.array_equal(actions, np.argmax(np.where(masks == 0.0, var, -1.0), axis=1))
+        assert ours.random() == theirs.random()
+
+
 def test_selector_rollout_rejects_observed_choice():
     class BadSelector:
         def __call__(self, values, masks, rng):

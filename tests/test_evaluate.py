@@ -213,8 +213,8 @@ def test_evaluation_holds_no_step_states(monkeypatch, mode):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # 2 seeds x 2 row blocks
-    assert len(held) == 4
+    # 2 seeds x 2 row blocks; a greedy policy's seeds share each block's rollout
+    assert len(held) == (2 if mode == "greedy" else 4)
     assert max(held) <= 3 * one_state, max(held) / one_state
     # the k=3 imputation of the terminal states sets the peak now
     assert peak <= 12 * one_state, peak / one_state
@@ -299,7 +299,8 @@ def check_helper_matches_serial(monkeypatch, subject, n_seeds, n_rows):
     serial = run(False)
     assert started == []
     split = run(True)
-    if n_seeds * len(row_blocks(n_rows)) >= 2:
+    # a greedy policy's task holds every seed of its block
+    if (1 if subject == "greedy" else n_seeds) * len(row_blocks(n_rows)) >= 2:
         check_one_helper_kept(started)
     else:
         assert started == []
@@ -436,9 +437,11 @@ def test_every_row_is_evaluated_once(monkeypatch, subject):
                          eval_mode=mode)
     ref = block_reference(subj, mode if is_policy else None, imputer, truth, 0.6, 3, 3, 4)
     assert [(r.top1_rmse, r.top3_rmse) for r in report.rows] == ref
-    # 3 seeds x 3 blocks, each seed's blocks covering the rows once, in order
-    assert len(seen) == 9
-    for s in range(3):
+    # 3 seeds x 3 blocks, each seed's blocks covering the rows once, in order;
+    # a greedy policy's seeds share one rollout per block
+    rolls = 1 if subject == "greedy" else 3
+    assert len(seen) == 3 * rolls
+    for s in range(rolls):
         assert np.array_equal(np.concatenate(seen[3 * s:3 * s + 3]), truth)
     # per task, top-1 then top-k errors: the minimum over k draws never exceeds the first
     assert sum(len(e) for e in errors[::2]) == 3 * len(truth)
@@ -589,3 +592,75 @@ def test_sweep_csv_bytes_are_deterministic(tmp_path):
     write_sweep_csv(report, b)
     assert a.read_bytes() == b.read_bytes()
     assert "wall" not in a.read_text()
+
+
+# ---------------------------------------------------------------------------
+# evaluation against a reference that repeats every piece of work
+
+
+class VarianceReference:
+    """The variance baseline as the variance of impute_batch's completions."""
+
+    def __init__(self, model, k):
+        self.model, self.k = model, k
+
+    def __call__(self, values, masks, rng):
+        var = impute_batch(self.model, values, masks, rng, k=self.k).var(axis=0)
+        return np.argmax(np.where(masks == 0.0, var, -1.0), axis=1)
+
+
+def variant_imputer(variant, seed):
+    return build_imputer(D, variant, noise_dim=2, hidden=(8,), rng=np.random.default_rng(seed))
+
+
+def variant_truth(variant, n):
+    # image rows lie in [0, 1], as pixels do
+    rng = np.random.default_rng(3)
+    return rng.uniform(size=(n, D)) if variant == "image" else rng.normal(size=(n, D))
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+@pytest.mark.parametrize("n_seeds", [1, 3])
+@pytest.mark.parametrize("n_rows", [20, 361], ids=["1-block", "2-blocks"])
+@pytest.mark.parametrize("subject", ["greedy", "stochastic", "uninform", "explicit"])
+@pytest.mark.parametrize("variant", ["sinusoid", "image"])
+def test_sweep_equals_a_reference_that_repeats_every_rollout(monkeypatch, variant, subject,
+                                                             n_rows, n_seeds, forked):
+    # the reference rolls every (seed, block) from its own substream, greedy
+    # included, and scores the variance baseline on substituted completions
+    imputer = variant_imputer(variant, 1)
+    truth = variant_truth(variant, n_rows)
+    policy = build_policy(D, actor_hidden=(8,), critic_hidden=(4,),
+                          rng=np.random.default_rng(5))
+    subj, ref, mode = {
+        "greedy": (policy, policy, "greedy"),
+        "stochastic": (policy, policy, "stochastic"),
+        "uninform": (UniformSelector(), UniformSelector(), None),
+        "explicit": (ExplicitSelector(variant_imputer(variant, 2), k=3),
+                     VarianceReference(variant_imputer(variant, 2), k=3), None),
+    }[subject]
+    evaluate_in_helper(monkeypatch, forked)
+    started = count_helpers(monkeypatch)
+    report = sweep_missing_rates(subj, imputer, truth, [0.6, 0.8], k=3, n_seeds=n_seeds,
+                                 seed=4, eval_mode=mode or "greedy", trained_rate=0.8)
+    # two rates make two tasks at least, so a forked helper always starts
+    assert started == ([helper.NAME] if forked else [])
+    assert [(r.eval_rate, r.seed) for r in report.rows] == [
+        (rate, s) for rate in (0.6, 0.8) for s in range(n_seeds)]
+    expected = [means for rate in (0.6, 0.8)
+                for means in block_reference(ref, mode, imputer, truth, rate, 3, n_seeds, 4)]
+    assert [(r.top1_rmse.hex(), r.top3_rmse.hex()) for r in report.rows] == [
+        (top1.hex(), topk.hex()) for top1, topk in expected]
+
+
+def test_a_shared_rollout_time_is_shared_among_its_seeds(monkeypatch):
+    # a greedy policy's three seeds share each block's rollout: each seed's
+    # wall time holds a third of it, so the seeds' times sum to the tasks'
+    policy = build_policy(D, actor_hidden=(8,), critic_hidden=(4,),
+                          rng=np.random.default_rng(5))
+    evaluate_in_helper(monkeypatch, False)
+    clock = iter(range(100))
+    monkeypatch.setattr(evaluate.time, "perf_counter", lambda: float(next(clock)))
+    report = eval_policy(policy, random_imputer(), truth_matrix(), 0.6, n_seeds=3)
+    # one block: the rollout reads 1 tick, and each seed's imputation 1 more
+    assert [r.wall_time for r in report.rows] == [1.0 + 1.0 / 3] * 3

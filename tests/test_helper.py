@@ -215,12 +215,15 @@ os._exit(0)
     assert not running(pid)
 
 
-def python_with_threads(threads, code: str, *args) -> str:
+def python_with_threads(threads, code: str, *args, coretype=None) -> str:
     """Run code in a new interpreter whose BLAS thread variables read
-    threads (None: unset), with measim importable; return its stdout."""
+    threads (None: unset), with OPENBLAS_CORETYPE set to coretype (None: as
+    here) and measim importable; return its stdout."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     if threads is not None:
         env.update(dict.fromkeys(THREAD_VARS, str(threads)))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True)
@@ -273,3 +276,38 @@ def test_the_command_line_pins_the_blas_and_writes_the_same_bytes(tmp_path):
         written[threads] = {name: (out / name).read_bytes() for name in files}
     assert written[1] == written[None]
     assert written[2] == written[None]
+
+
+# An older OpenBLAS kernel set than each, one that runs on every CPU the
+# newer one runs on.
+OLDER_CORE = {"SkylakeX": "Haswell", "CooperLake": "SkylakeX",
+              "SapphireRapids": "CooperLake", "Haswell": "Sandybridge",
+              "Zen": "Sandybridge"}
+
+
+@needs_openblas
+@pytest.mark.skipif(helper.blas_core() not in OLDER_CORE,
+                    reason=f"no older OpenBLAS kernel set known for {helper.blas_core()}")
+def test_run_manifest_names_a_forced_older_blas_core(tmp_path):
+    # the float32 products may differ by kernel, so whether run.csv does is
+    # reported, not asserted
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--dataset", "sin-single", "--missing-rate", "0.8",
+                     "--n-train", "64", "--n-test", "8", "--out", str(data)]) == 0
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("pretrain_epochs=2\niterations=3\n")
+    assert cli.main(["pretrain", "--data", str(data / "train.csv"), "--config", str(cfg),
+                     "--out", str(tmp_path / "pre")]) == 0
+    native, older = helper.blas_core(), OLDER_CORE[helper.blas_core()]
+    runs = {}
+    for core in (None, older):
+        out = tmp_path / f"run-{core}"
+        python_with_threads(None, COMMAND, "train-joint", "--data", data / "train.csv",
+                            "--config", cfg, "--imputer", tmp_path / "pre" / "imputer.ckpt",
+                            "--missing-rate", "0.8", "--out", out, coretype=core)
+        env = json.loads((out / "environment.json").read_text())
+        runs[core] = (env["blas_core"], (out / "run.csv").read_bytes())
+    assert runs[None][0] == native
+    assert runs[older][0] == older
+    same = runs[None][1] == runs[older][1]
+    print(f"run.csv under {older} {'equals' if same else 'differs from'} run.csv under {native}")

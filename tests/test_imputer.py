@@ -22,6 +22,7 @@ from measim.imputer import (
     loss_unsupervised,
     net_inputs,
     pretrain,
+    raw_draws,
     save_imputer,
     self_mask,
 )
@@ -188,6 +189,27 @@ def test_impute_batch_k_draws_equal_sequential_calls(variant):
     assert shared_rng.random() == seq_rng.random()
     with pytest.raises(ValueError, match="k"):
         impute_batch(model, vals, masks, shared_rng, k=0)
+
+
+@pytest.mark.parametrize("variant", ["sinusoid", "image"])
+def test_raw_draws_are_the_completions_before_substitution(variant):
+    # each raw draw is in the net's dtype, its noise drawn only when the
+    # draw is asked for; substituted, the draws are impute_batch's
+    rng = np.random.default_rng(14)
+    model = build_imputer(7, variant, noise_dim=3, hidden=(8,), rng=rng)
+    masks = (rng.random((9, 7)) < 0.4).astype(np.float64)
+    vals = rng.random((9, 7)) * masks
+    raw_rng, rng_ref = np.random.default_rng(15), np.random.default_rng(15)
+    draws = raw_draws(model, vals, masks, raw_rng, 4)
+    first = next(draws)
+    assert first.dtype == model.net.dtype and first.shape == (9, 7)
+    after_one = np.random.default_rng(15)
+    after_one.standard_normal((9, 3))
+    assert raw_rng.bit_generator.state == after_one.bit_generator.state
+    completed = np.stack([np.where(masks == 1.0, vals, y) for y in (first, *draws)])
+    assert np.array_equal(completed.view(np.uint64),
+                          impute_batch(model, vals, masks, rng_ref, k=4).view(np.uint64))
+    assert raw_rng.random() == rng_ref.random()
 
 
 def test_impute_batch_rejects_wrong_width():

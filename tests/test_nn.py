@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from measim import nn
 
@@ -468,3 +471,52 @@ def test_backward_from_post_activations_is_bit_identical(hidden, output, mode):
     ref_grads = reference_backward(net, tape, up)
     for g, r in zip(grads, ref_grads):
         assert np.array_equal(g, r)
+
+
+# ---------------------------------------------------------------------------
+# the sigmoid
+
+
+def indexed_sigmoid(z):
+    """The stable sigmoid by boolean indexing, one branch per sign."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_the_boolean_indexing_form_bit_for_bit(dtype):
+    fi = np.finfo(dtype)
+    big = float(np.log(fi.max))          # exp overflows past it
+    tiny = float(-np.log(fi.smallest_subnormal))  # and underflows to 0 past it
+    edges = [0.0, -0.0, np.inf, -np.inf, fi.max, -fi.max, fi.tiny, -fi.tiny,
+             fi.smallest_subnormal, -fi.smallest_subnormal, fi.eps, -fi.eps,
+             big, -big, 2 * big, -2 * big, tiny, -tiny, 2 * tiny, -2 * tiny, 1.0, -1.0]
+    rng = np.random.default_rng(0)
+    wide = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-40, 3, 4000)
+    z = np.concatenate([edges, rng.normal(scale=4.0, size=4000), wide]).astype(dtype)
+    # a hidden-layer shape of the image imputer, and an odd one
+    for x in (z, z[:96 * 144 // 2].reshape(48, 144), z[:7 * 13].reshape(7, 13)):
+        assert same_bits(nn._activate("sigmoid", x), indexed_sigmoid(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(st.sampled_from([np.float32, np.float64]), hnp.array_shapes(max_dims=2),
+                  elements=st.floats(allow_nan=False, width=32)))
+def test_sigmoid_matches_the_boolean_indexing_form_on_any_input(z):
+    assert same_bits(nn._activate("sigmoid", z), indexed_sigmoid(z))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_maps_nan_to_nan(dtype):
+    z = np.array([np.nan, -np.nan, 0.0, 1.0], dtype=dtype)
+    out = nn._activate("sigmoid", z)
+    assert out.dtype == dtype
+    assert np.isnan(out[:2]).all() and not np.isnan(out[2:]).any()

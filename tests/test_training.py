@@ -927,9 +927,10 @@ def test_run_manifest_records_numeric_environment(tmp_path, monkeypatch):
     with open(tmp_path / "a" / "environment.json") as f:
         env = json.load(f)
     assert env == environment_manifest()
-    assert set(env) == {"python", "numpy", "blas", "blas_threads"}
+    assert set(env) == {"python", "numpy", "blas", "blas_threads", "blas_core"}
     assert env["numpy"] == np.__version__
     assert env["blas_threads"] == 3
+    assert env["blas_core"] == helper.blas_core()
     if env["blas"] is not None:
         assert set(env["blas"]) == {"name", "version"}
 
